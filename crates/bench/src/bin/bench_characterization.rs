@@ -1,10 +1,10 @@
 //! Characterization-throughput bench: the bit-parallel `BitSim` engine
-//! vs the batched `BatchSim` engine vs the scalar `settle`/`transition`
-//! baseline, at `Scale::Mini` sample budgets.
+//! vs the scalar `settle`/`transition` baseline, at `Scale::Mini`
+//! sample budgets.
 //!
 //! Emits machine-readable JSON (also written to
 //! `BENCH_CHARACTERIZATION.json`) with samples/sec for power and timing
-//! characterization on every engine, the speedups, a bit-identical
+//! characterization on both engines, the speedups, a bit-identical
 //! cross-check of the produced profiles, cold-vs-warm pipeline
 //! characterization timings against a fresh charstore, and a
 //! fully-warm end-to-end pipeline measurement (all four cacheable
@@ -12,10 +12,10 @@
 //! warmed run performs **zero training epochs and zero gate-simulation
 //! transitions** — so future PRs can track the perf trajectory.
 //!
-//! The `power` block keeps its historical meaning (batched vs scalar)
-//! for comparability across PRs; the `power_bitsim` block measures the
-//! production `characterize_power` path, which packs 64 stimulus
-//! vectors per machine word on top of the same thread pool. The
+//! The `power_bitsim` and `timing_bitsim` blocks measure the production
+//! `characterize_power` and `characterize_timing` paths, which pack 64
+//! stimulus vectors per machine word on top of the per-code thread
+//! pool, against their scalar references. The
 //! `obs_overhead` block guards the observability layer: the same
 //! bit-parallel hot loop with the `obs` metrics registry live vs
 //! disabled must stay within 2% of each other.
@@ -31,14 +31,25 @@
 //!   (default 12288, the `Scale::Mini` budget).
 
 use powerpruning::chars::{
-    characterize_power, characterize_power_batched, characterize_power_scalar,
-    characterize_power_unpruned, characterize_power_unpruned_with_threads,
-    characterize_power_with_threads, characterize_timing, characterize_timing_scalar,
-    strided_codes, MacHardware, PowerConfig, PsumBinning, TimingConfig,
+    characterize_power, characterize_power_scalar, characterize_power_unpruned,
+    characterize_power_unpruned_with_threads, characterize_power_with_threads, characterize_timing,
+    characterize_timing_scalar, strided_codes, MacHardware, PowerConfig, PsumBinning, TimingConfig,
 };
 use powerpruning::pipeline::{NetworkKind, Pipeline, PipelineConfig, Scale};
 use std::time::Instant;
 use systolic::stats::TransitionStats;
+
+/// Floor on the bit-parallel power path's speedup over scalar; CI
+/// gates `power_bitsim.speedup_over_scalar` at the same value. On a
+/// 2-core x86-64 VM it measured 11.5x at the default budgets and
+/// 6.0-10.2x at CI's reduced ones, where per-code engine construction
+/// weighs more.
+const POWER_SPEEDUP_FLOOR: f64 = 3.0;
+
+/// Floor on the bit-parallel timing path's speedup over scalar; CI
+/// gates `timing_bitsim.speedup_over_scalar` at the same value.
+/// Measured 14.5-14.8x at the default budgets and 10.5-11.9x at CI's.
+const TIMING_SPEEDUP_FLOOR: f64 = 5.0;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -67,52 +78,17 @@ fn workload() -> (TransitionStats, PsumBinning) {
     (stats, binning)
 }
 
-struct Measurement {
-    samples: usize,
-    batched_s: f64,
-    scalar_s: f64,
-    identical: bool,
-}
-
-impl Measurement {
-    fn speedup(&self) -> f64 {
-        self.scalar_s / self.batched_s
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"samples\": {}, ",
-                "\"batched_s\": {:.3}, \"scalar_s\": {:.3}, ",
-                "\"batched_samples_per_s\": {:.1}, \"scalar_samples_per_s\": {:.1}, ",
-                "\"speedup\": {:.3}, \"identical\": {}}}"
-            ),
-            self.samples,
-            self.batched_s,
-            self.scalar_s,
-            self.samples as f64 / self.batched_s,
-            self.samples as f64 / self.scalar_s,
-            self.speedup(),
-            self.identical,
-        )
-    }
-}
-
-/// Three-way power measurement: the bit-parallel production path
-/// against both reference engines.
+/// One production path against its scalar reference: the bit-parallel
+/// engine's wall-clock and speedup, and whether the two profiles are
+/// bit-identical.
 struct BitMeasurement {
     samples: usize,
     bitsim_s: f64,
-    batched_s: f64,
     scalar_s: f64,
     identical: bool,
 }
 
 impl BitMeasurement {
-    fn speedup_over_batched(&self) -> f64 {
-        self.batched_s / self.bitsim_s
-    }
-
     fn speedup_over_scalar(&self) -> f64 {
         self.scalar_s / self.bitsim_s
     }
@@ -121,17 +97,15 @@ impl BitMeasurement {
         format!(
             concat!(
                 "{{\"samples\": {}, ",
-                "\"bitsim_s\": {:.3}, \"batched_s\": {:.3}, \"scalar_s\": {:.3}, ",
-                "\"bitsim_samples_per_s\": {:.1}, ",
-                "\"speedup_over_batched\": {:.3}, \"speedup_over_scalar\": {:.3}, ",
-                "\"identical\": {}}}"
+                "\"bitsim_s\": {:.3}, \"scalar_s\": {:.3}, ",
+                "\"bitsim_samples_per_s\": {:.1}, \"scalar_samples_per_s\": {:.1}, ",
+                "\"speedup_over_scalar\": {:.3}, \"identical\": {}}}"
             ),
             self.samples,
             self.bitsim_s,
-            self.batched_s,
             self.scalar_s,
             self.samples as f64 / self.bitsim_s,
-            self.speedup_over_batched(),
+            self.samples as f64 / self.scalar_s,
             self.speedup_over_scalar(),
             self.identical,
         )
@@ -342,7 +316,7 @@ impl WarmStart {
 /// charstore) and warm: the warm run uses a *fresh* pipeline sharing
 /// only the store directory, so it exercises the persistent disk tier
 /// (not the first pipeline's in-memory tier) and answers with zero
-/// `BatchSim` transitions. Preparation and capture run *uncached* here
+/// `BitSim` transitions. Preparation and capture run *uncached* here
 /// so the numbers stay characterize-only and comparable with earlier
 /// PRs; [`measure_full_warm`] covers the end-to-end pipeline.
 fn measure_warm_start() -> WarmStart {
@@ -595,32 +569,16 @@ fn main() {
     let bitsim = characterize_power(&hw, &stats, &binning, &power_cfg);
     let bitsim_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let batched = characterize_power_batched(&hw, &stats, &binning, &power_cfg);
-    let batched_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
     let scalar = characterize_power_scalar(&hw, &stats, &binning, &power_cfg);
     let scalar_s = t.elapsed().as_secs_f64();
-    let power = Measurement {
-        samples: codes * power_samples,
-        batched_s,
-        scalar_s,
-        identical: batched == scalar,
-    };
     let power_bitsim = BitMeasurement {
         samples: codes * power_samples,
         bitsim_s,
-        batched_s,
         scalar_s,
         identical: bitsim == scalar,
     };
     eprintln!(
-        "power:  batched {batched_s:.2}s, scalar {scalar_s:.2}s -> {:.2}x, identical: {}",
-        power.speedup(),
-        power.identical
-    );
-    eprintln!(
-        "power:  bitsim {bitsim_s:.2}s -> {:.2}x over batched, {:.2}x over scalar, identical: {}",
-        power_bitsim.speedup_over_batched(),
+        "power:  bitsim {bitsim_s:.2}s, scalar {scalar_s:.2}s -> {:.2}x, identical: {}",
         power_bitsim.speedup_over_scalar(),
         power_bitsim.identical
     );
@@ -654,21 +612,21 @@ fn main() {
         weight_stride: stride,
     };
     let t = Instant::now();
-    let batched_t = characterize_timing(&hw, &timing_cfg);
-    let batched_ts = t.elapsed().as_secs_f64();
+    let bitsim_t = characterize_timing(&hw, &timing_cfg);
+    let bitsim_ts = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let scalar_t = characterize_timing_scalar(&hw, &timing_cfg);
     let scalar_ts = t.elapsed().as_secs_f64();
-    let timing = Measurement {
+    let timing_bitsim = BitMeasurement {
         samples: codes * timing_samples,
-        batched_s: batched_ts,
+        bitsim_s: bitsim_ts,
         scalar_s: scalar_ts,
-        identical: batched_t == scalar_t,
+        identical: bitsim_t == scalar_t,
     };
     eprintln!(
-        "timing: batched {batched_ts:.2}s, scalar {scalar_ts:.2}s -> {:.2}x, identical: {}",
-        timing.speedup(),
-        timing.identical
+        "timing: bitsim {bitsim_ts:.2}s, scalar {scalar_ts:.2}s -> {:.2}x, identical: {}",
+        timing_bitsim.speedup_over_scalar(),
+        timing_bitsim.identical
     );
 
     // --- Pipeline warm start (charstore, characterize+timing only) ---
@@ -714,11 +672,10 @@ fn main() {
             "  \"scale\": \"mini\",\n",
             "  \"weight_codes\": {},\n",
             "  \"weight_stride\": {},\n",
-            "  \"power\": {},\n",
             "  \"power_bitsim\": {},\n",
             "  \"power_pruned\": {},\n",
             "  \"obs_overhead\": {},\n",
-            "  \"timing\": {},\n",
+            "  \"timing_bitsim\": {},\n",
             "  \"pipeline_warm_start\": {},\n",
             "  \"pipeline_full_warm\": {},\n",
             "  \"retrain_warm\": {}\n",
@@ -726,11 +683,10 @@ fn main() {
         ),
         codes,
         stride,
-        power.json(),
         power_bitsim.json(),
         power_pruned.json(),
         obs_overhead.json(),
-        timing.json(),
+        timing_bitsim.json(),
         warm.json(),
         full.json(),
         retrain.json(),
@@ -741,21 +697,16 @@ fn main() {
     }
 
     assert!(
-        power.identical,
-        "batched power profile diverged from scalar"
-    );
-    assert!(
         power_bitsim.identical,
         "bit-parallel power profile diverged from scalar"
     );
     // Lane amortization is bounded by word-event fragmentation (lanes
-    // glitch at different times), measuring 4.5-5.5x over batched on a
-    // single core; gate on a conservative floor so loaded CI machines
-    // don't flake.
+    // glitch at different times); gate on a conservative floor so
+    // loaded CI machines don't flake.
     assert!(
-        power_bitsim.speedup_over_batched() >= 3.5,
-        "bit-parallel power path only {:.2}x faster than batched",
-        power_bitsim.speedup_over_batched()
+        power_bitsim.speedup_over_scalar() >= POWER_SPEEDUP_FLOOR,
+        "bit-parallel power path only {:.2}x faster than scalar",
+        power_bitsim.speedup_over_scalar()
     );
     assert!(
         power_pruned.identical,
@@ -783,8 +734,13 @@ fn main() {
         obs_overhead.overhead_pct()
     );
     assert!(
-        timing.identical,
-        "batched timing profile diverged from scalar"
+        timing_bitsim.identical,
+        "bit-parallel timing profile diverged from scalar"
+    );
+    assert!(
+        timing_bitsim.speedup_over_scalar() >= TIMING_SPEEDUP_FLOOR,
+        "bit-parallel timing path only {:.2}x faster than scalar",
+        timing_bitsim.speedup_over_scalar()
     );
     assert_eq!(warm.cold_misses, 2, "cold run should miss both artifacts");
     assert_eq!(warm.warm_hits, 2, "warm run should hit both artifacts");

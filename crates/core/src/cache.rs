@@ -42,7 +42,7 @@
 //!
 //! A key hit is provably the same computation, so a warmed store lets a
 //! second pipeline run skip baseline training entirely (zero epochs,
-//! observable via `nn::train::epochs_run`) and every `BatchSim`
+//! observable via `nn::train::epochs_run`) and every `BitSim`
 //! settle/transition round-trip (zero transitions, observable via
 //! `gatesim::sim_transitions`). Decode failures (corruption, version
 //! skew) degrade to a miss and the artifact is recomputed and

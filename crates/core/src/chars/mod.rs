@@ -14,8 +14,7 @@ pub mod timing;
 
 pub use bins::PsumBinning;
 pub use power::{
-    characterize_power, characterize_power_batched, characterize_power_batched_with_threads,
-    characterize_power_scalar, characterize_power_unpruned,
+    characterize_power, characterize_power_scalar, characterize_power_unpruned,
     characterize_power_unpruned_with_threads, characterize_power_with_threads, strided_codes,
     PowerConfig, WeightPowerProfile,
 };
@@ -179,7 +178,7 @@ impl MacHardware {
 
     /// Packs `(weight, activation)` into a reused buffer — the
     /// allocation-free companion of [`MacHardware::encode_mult`] used by
-    /// the batched timing characterization.
+    /// the bit-parallel timing characterization.
     pub fn encode_mult_into(&self, weight: i64, act: u64, out: &mut Vec<bool>) {
         out.clear();
         to_bits_into(weight, self.weight_bits, out);

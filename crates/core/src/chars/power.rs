@@ -11,13 +11,12 @@
 //! weight's sample stream is chunked into blocks of 64 stimulus
 //! vectors, packed one `u64` lane per net, and simulated word-wide —
 //! composing with the per-code thread fan-out so threads × bit-lanes
-//! multiply. The batched ([`characterize_power_batched`]) and scalar
-//! ([`characterize_power_scalar`]) paths are kept as bit-exact
-//! references and bench baselines; all three produce **identical**
-//! profiles, energies included.
+//! multiply. The scalar path ([`characterize_power_scalar`]) is kept
+//! as the bit-exact reference and bench baseline; both produce
+//! **identical** profiles, energies included.
 
 use crate::chars::{CharConfigError, MacHardware, PsumBinning};
-use gatesim::{BatchAccumulator, BatchSim, BitSim, PrunePlan, Simulator};
+use gatesim::{BitSim, PrunePlan, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use systolic::stats::TransitionStats;
@@ -232,7 +231,7 @@ impl WeightPowerProfile {
 
 /// The weight codes actually simulated under a stride configuration:
 /// every `stride`-th code plus the two extremes. Shared by the
-/// bit-parallel, batched and scalar characterization paths, and by the
+/// bit-parallel and scalar characterization paths, and by the
 /// throughput bench to count simulated codes.
 ///
 /// # Panics
@@ -268,8 +267,8 @@ fn code_rng(cfg: &PowerConfig, code_idx: usize) -> StdRng {
 /// bus is pinned, constant propagation proves the weight's dead cone
 /// silent, and only the live cone is simulated. Pruning is exact
 /// (pruned gates provably never toggle), so the profile is
-/// bit-identical to [`characterize_power_unpruned`] and to the batched
-/// and scalar references.
+/// bit-identical to [`characterize_power_unpruned`] and to the scalar
+/// reference.
 ///
 /// # Panics
 ///
@@ -429,86 +428,9 @@ fn power_bitsim_impl(
     expand_profile(cfg, &all_codes, &codes, &energy_fj)
 }
 
-/// The characterization loop on the batched [`BatchSim`] engine: one
-/// stimulus vector per settle/transition, allocation-free. This was the
-/// hot path before the bit-parallel engine; it is kept as a bit-exact
-/// reference and as the baseline the `bench_characterization` speedup
-/// targets are measured against.
-///
-/// Produces **bit-identical** profiles to [`characterize_power`].
-///
-/// # Panics
-///
-/// Panics if `act_stats` has no recorded transitions or the
-/// configuration fails [`PowerConfig::validate`].
-#[must_use]
-pub fn characterize_power_batched(
-    hw: &MacHardware,
-    act_stats: &TransitionStats,
-    binning: &PsumBinning,
-    cfg: &PowerConfig,
-) -> WeightPowerProfile {
-    characterize_power_batched_with_threads(hw, act_stats, binning, cfg, None)
-}
-
-/// [`characterize_power_batched`] with an explicit worker-thread count
-/// (`None` uses the machine's available parallelism).
-///
-/// # Panics
-///
-/// Panics if `act_stats` has no recorded transitions or the
-/// configuration fails [`PowerConfig::validate`].
-#[must_use]
-pub fn characterize_power_batched_with_threads(
-    hw: &MacHardware,
-    act_stats: &TransitionStats,
-    binning: &PsumBinning,
-    cfg: &PowerConfig,
-    threads: Option<usize>,
-) -> WeightPowerProfile {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid PowerConfig: {e}");
-    }
-    let all_codes = hw.weight_codes();
-    let codes = strided_codes(&all_codes, cfg.weight_stride);
-    let mut energy_fj = vec![0.0f64; codes.len()];
-
-    parallel::par_rows_mut_with_threads(
-        threads.unwrap_or_else(parallel::max_threads),
-        &mut energy_fj,
-        1,
-        || {
-            (
-                BatchSim::new(hw.mac().netlist(), hw.lib()),
-                Vec::new(),
-                Vec::new(),
-            )
-        },
-        |(sim, from, to), idx, slot| {
-            let code = codes[idx];
-            let mut rng = code_rng(cfg, idx);
-            let acts = act_stats.sample_activation_transitions(cfg.samples_per_weight, &mut rng);
-            let psums = binning.sample_transitions(cfg.samples_per_weight, &mut rng);
-            let mut acc = BatchAccumulator::new(sim.netlist().outputs().len());
-            for ((af, at), (pf, pt)) in acts.iter().zip(&psums) {
-                hw.mac()
-                    .encode_into(code as i64, *af as u64, *pf as i64, from);
-                hw.mac()
-                    .encode_into(code as i64, *at as u64, *pt as i64, to);
-                sim.settle(from);
-                acc.record(&sim.transition(to));
-            }
-            slot[0] =
-                acc.total_energy_fj() / cfg.samples_per_weight as f64 + cfg.baseline_fj_per_cycle;
-        },
-    );
-
-    expand_profile(cfg, &all_codes, &codes, &energy_fj)
-}
-
 /// Reference implementation of the characterization loop on the scalar
 /// [`Simulator`]: one allocation-heavy `settle`/`transition` round-trip
-/// per sample, exactly as the flow ran before the batched engine
+/// per sample, exactly as the flow ran before the bit-parallel engine
 /// existed. Kept for differential testing and as the baseline of the
 /// characterization-throughput bench.
 ///
@@ -686,8 +608,9 @@ mod tests {
 
     #[test]
     fn all_three_engines_produce_identical_profiles() {
-        // The BitSim hot path and the BatchSim reference must both be
-        // bit-identical to the scalar Simulator path, energies included.
+        // The pruned BitSim hot path and the all-gates BitSim build must
+        // both be bit-identical to the scalar Simulator path, energies
+        // included.
         let hw = MacHardware::small();
         let (stats, binning) = fake_stats();
         let cfg = PowerConfig {
@@ -695,10 +618,10 @@ mod tests {
             ..quick_cfg()
         };
         let bitsim = characterize_power(&hw, &stats, &binning, &cfg);
-        let batched = characterize_power_batched(&hw, &stats, &binning, &cfg);
+        let unpruned = characterize_power_unpruned(&hw, &stats, &binning, &cfg);
         let scalar = characterize_power_scalar(&hw, &stats, &binning, &cfg);
         assert_eq!(bitsim, scalar);
-        assert_eq!(batched, scalar);
+        assert_eq!(unpruned, scalar);
     }
 
     #[test]

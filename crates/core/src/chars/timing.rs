@@ -14,7 +14,7 @@
 //! partial-sum STA path as a weight-independent floor.
 
 use crate::chars::{CharConfigError, MacHardware};
-use gatesim::{BatchSim, PrunePlan, Simulator, Sta};
+use gatesim::{BitSim, PrunePlan, Simulator, Sta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -210,7 +210,7 @@ impl WeightTimingProfile {
     }
 }
 
-/// Adder-side STA facts shared by the batched and scalar paths: the
+/// Adder-side STA facts shared by the bit-parallel and scalar paths: the
 /// product-bit → output delay table and the psum-path floor.
 fn adder_sta(hw: &MacHardware) -> (Vec<f64>, f64) {
     // STA on the MAC netlist: product bits and psum ports only feed the
@@ -267,33 +267,21 @@ fn fold_transition(
     }
 }
 
-/// Feeds the `(from, to)` activation pairs analysed for one weight code
-/// to `f`: either the full off-diagonal square or `cfg.samples` draws
-/// from the code's RNG stream. Callback-driven so the hot loops stay
-/// allocation-free.
-fn for_each_transition_pair(
-    cfg: &TimingConfig,
-    levels: u32,
-    code_idx: usize,
-    mut f: impl FnMut(u32, u32),
-) {
+/// The `(from, to)` activation pairs analysed for one weight code, in
+/// fold order: either the full off-diagonal square or the `from != to`
+/// draws among `cfg.samples` from the code's RNG stream.
+fn transition_pairs(cfg: &TimingConfig, levels: u32, code_idx: usize) -> Vec<(u32, u32)> {
     if cfg.exhaustive {
-        for from in 0..levels {
-            for to in 0..levels {
-                if from != to {
-                    f(from, to);
-                }
-            }
-        }
+        (0..levels)
+            .flat_map(|from| (0..levels).map(move |to| (from, to)))
+            .filter(|&(from, to)| from != to)
+            .collect()
     } else {
         let mut rng = code_rng(cfg, code_idx);
-        for _ in 0..cfg.samples {
-            let from = rng.random_range(0..levels);
-            let to = rng.random_range(0..levels);
-            if from != to {
-                f(from, to);
-            }
-        }
+        (0..cfg.samples)
+            .map(|_| (rng.random_range(0..levels), rng.random_range(0..levels)))
+            .filter(|&(from, to)| from != to)
+            .collect()
     }
 }
 
@@ -302,11 +290,13 @@ fn for_each_transition_pair(
 /// The standalone multiplier netlist is structurally identical to the
 /// multiplier embedded in the MAC (both come from the same generator),
 /// so product-bit arrival times measured on it compose exactly with the
-/// MAC-adder STA table. Per-weight dynamic timing runs on the batched
-/// [`BatchSim`] engine under a per-code [`PrunePlan`] that pins the
-/// held weight bus — the weight's desensitized cone is proven silent
-/// and skipped, with bit-identical arrivals (asserted against the
-/// unpruned scalar reference in the test suite).
+/// MAC-adder STA table. Per-weight dynamic timing runs on the
+/// bit-parallel [`BitSim`] engine, 64 activation transitions per
+/// simulated word, under a per-code [`PrunePlan`] that pins the held
+/// weight bus — the weight's desensitized cone is proven silent and
+/// skipped. Lanes are folded in pair order, so the histogram, the
+/// `slow` list and `max_delay_ps` are bit-identical to the unpruned
+/// scalar reference (asserted in the test suite).
 ///
 /// # Panics
 ///
@@ -347,13 +337,21 @@ pub fn characterize_timing_with_threads(
         .collect();
     let product_nets = hw.mult_netlist().outputs().to_vec();
     let adder_table = &adder_from_product_ps;
+    let input_count = hw.mult_netlist().inputs().len();
 
     parallel::par_rows_mut_with_threads(
         threads.unwrap_or_else(parallel::max_threads),
         &mut per_weight,
         1,
-        || (Vec::new(), Vec::new()),
-        |(from_buf, to_buf), idx, slot| {
+        || {
+            (
+                Vec::new(),
+                Vec::new(),
+                vec![0u64; input_count],
+                vec![0u64; input_count],
+            )
+        },
+        |(from_buf, to_buf, from_words, to_words), idx, slot| {
             let code = slot[0].code;
             // Per-code engine with the weight bus pinned: the prune
             // plan proves the weight's dead multiplier cone silent, so
@@ -361,27 +359,41 @@ pub fn characterize_timing_with_threads(
             // Arrival times are unchanged — pruned gates never toggle,
             // hence never set an arrival.
             let plan = PrunePlan::new(hw.mult_netlist(), hw.lib(), &hw.mult_weight_pins(code));
-            let mut sim = BatchSim::with_plan(hw.mult_netlist(), hw.lib(), &plan);
+            let mut sim = BitSim::with_plan(hw.mult_netlist(), hw.lib(), &plan);
             sim.observe(&product_nets);
             let mut hist = vec![0u64; 512];
             let mut max_delay = 0.0f64;
             let mut slow = Vec::new();
-            for_each_transition_pair(cfg, levels, idx, |from, to| {
-                hw.encode_mult_into(code as i64, from as u64, from_buf);
-                hw.encode_mult_into(code as i64, to as u64, to_buf);
-                sim.settle(from_buf);
-                let view = sim.transition(to_buf);
-                fold_transition(
-                    cfg,
-                    adder_table,
-                    |j| view.observed_arrival_ps(j),
-                    from,
-                    to,
-                    &mut hist,
-                    &mut max_delay,
-                    &mut slow,
-                );
-            });
+            // Blocks of up to 64 pairs, one bit-lane each; the final
+            // partial block relies on the engine's tail masking.
+            for block in transition_pairs(cfg, levels, idx).chunks(64) {
+                from_words.fill(0);
+                to_words.fill(0);
+                for (lane, &(from, to)) in block.iter().enumerate() {
+                    hw.encode_mult_into(code as i64, u64::from(from), from_buf);
+                    hw.encode_mult_into(code as i64, u64::from(to), to_buf);
+                    for (i, &bit) in from_buf.iter().enumerate() {
+                        from_words[i] |= u64::from(bit) << lane;
+                    }
+                    for (i, &bit) in to_buf.iter().enumerate() {
+                        to_words[i] |= u64::from(bit) << lane;
+                    }
+                }
+                sim.settle(from_words, block.len());
+                let view = sim.transition(to_words);
+                for (lane, &(from, to)) in block.iter().enumerate() {
+                    fold_transition(
+                        cfg,
+                        adder_table,
+                        |j| view.observed_arrival_ps(j, lane),
+                        from,
+                        to,
+                        &mut hist,
+                        &mut max_delay,
+                        &mut slow,
+                    );
+                }
+            }
             slot[0].histogram = hist;
             slot[0].max_delay_ps = max_delay;
             slot[0].slow = slow;
@@ -441,9 +453,9 @@ pub fn characterize_timing_scalar(hw: &MacHardware, cfg: &TimingConfig) -> Weigh
             let mut hist = vec![0u64; 512];
             let mut max_delay = 0.0f64;
             let mut slow = Vec::new();
-            for_each_transition_pair(cfg, levels, idx, |from, to| {
-                sim.settle(&hw.encode_mult(code as i64, from as u64));
-                let stats = sim.transition(&hw.encode_mult(code as i64, to as u64));
+            for (from, to) in transition_pairs(cfg, levels, idx) {
+                sim.settle(&hw.encode_mult(code as i64, u64::from(from)));
+                let stats = sim.transition(&hw.encode_mult(code as i64, u64::from(to)));
                 fold_transition(
                     cfg,
                     adder_table,
@@ -454,7 +466,7 @@ pub fn characterize_timing_scalar(hw: &MacHardware, cfg: &TimingConfig) -> Weigh
                     &mut max_delay,
                     &mut slow,
                 );
-            });
+            }
             slot[0].histogram = hist;
             slot[0].max_delay_ps = max_delay;
             slot[0].slow = slow;
@@ -644,6 +656,9 @@ mod tests {
 
     #[test]
     fn batched_profile_matches_scalar_reference() {
+        // 64-lane BitSim blocks, partial tail blocks included, must fold
+        // to the scalar reference bit-for-bit: histogram, slow list
+        // order and max delay.
         let hw = MacHardware::small();
         for cfg in [
             quick_cfg(),

@@ -9,6 +9,11 @@
 //! popcount over the XOR of consecutive net states, so one event pop
 //! charges up to 64 vectors' worth of switching activity.
 //!
+//! It is the production engine for both characterizations: power reads
+//! the per-lane energies, and timing (the paper's per-weight DTA)
+//! reads per-lane last-toggle arrival times of the nets registered
+//! with [`BitSim::observe`].
+//!
 //! # Lane packing
 //!
 //! Lane *l* (bit *l* of every word) is stimulus vector *l* of the
@@ -16,7 +21,8 @@
 //! input whose bit *l* is input bit's value in vector *l*, and
 //! `transition(to)` applies all 64 next-vectors at once. Callers chunk
 //! an arbitrary sample stream into blocks of ≤ 64 (see
-//! `powerpruning::chars::characterize_power`).
+//! `powerpruning::chars::characterize_power` and
+//! `powerpruning::chars::characterize_timing`).
 //!
 //! # Tail masking
 //!
@@ -37,10 +43,10 @@
 //!   net's events pop in push order and a word event's toggle mask is
 //!   simply `value[net] ^ event.value`;
 //! * a pushed event is filtered against the net's last *scheduled* word
-//!   (`sched`), exactly the push-time filtering of
-//!   [`crate::BatchSim`] — for a lane whose inputs did not change, the
+//!   (`sched`) — for a lane whose inputs did not change, the
 //!   re-evaluated output bit equals the scheduled bit, so spurious
-//!   events never toggle that lane;
+//!   events never toggle that lane, and dropping them at push time
+//!   instead of pop time changes no observable result;
 //! * primary-input edges are applied one port at a time in port order,
 //!   re-evaluating fanout gates word-wide after each port, so two
 //!   inputs of one gate changing in the same vector produce the same
@@ -49,7 +55,20 @@
 //! * per-lane energy accumulators receive their f64 adds in event pop
 //!   order, which per lane is the scalar simulator's `(time, seq)`
 //!   order — so each lane's energy is the identical floating-point
-//!   fold, not merely close.
+//!   fold, not merely close;
+//! * for the same reason, writing a popped event's time into every
+//!   toggled lane of an observed net (last write wins) leaves each lane
+//!   holding exactly the scalar simulator's last-toggle arrival, which
+//!   is converted to picoseconds with the same arithmetic.
+//!
+//! # Arrivals and settle times
+//!
+//! Arrival tracking costs nothing until [`BitSim::observe`] registers
+//! a net: the event loop is compiled twice, and the power path runs
+//! the copy without it. While nets are observed, each transition also
+//! records one `gatesim_settle_time_ps` observation per active lane —
+//! that lane's last primary-output toggle, the scalar engine's
+//! `delay_ps` — so the settle histogram counts timing samples only.
 //!
 //! The engine keeps one word per net (64 lanes). Widening to multiple
 //! words per net would only amortize further on netlists whose working
@@ -60,12 +79,16 @@
 //!
 //! `tests/bitsim_equivalence.rs` enforces lane-exact agreement against
 //! the scalar reference across the adder, Booth-multiplier and MAC
-//! generators, plus the STA cross-check that no net outside the input
-//! fanin cone ever toggles.
+//! generators — toggles, energies and observed arrivals — plus the STA
+//! cross-check that no net outside the input fanin cone ever toggles.
 
 use crate::cells::CellLibrary;
 use crate::intervals::{EngineBuild, GateRow, PrunePlan};
 use crate::netlist::{NetId, NetSource, Netlist};
+use crate::sim::FS_PER_PS;
+
+/// Sentinel for "net is not observed".
+const NO_SLOT: u32 = u32::MAX;
 
 /// All-lanes mask for `active` lanes (1 ..= 64).
 #[inline]
@@ -137,8 +160,8 @@ struct DelayLane {
 }
 
 /// Reusable lane-per-delay min-queue of [`WordEvent`]s — the word-wide
-/// sibling of the batched engine's queue: `push` is an append, `pop`
-/// scans the lane heads for the earliest `(time, seq)`.
+/// analogue of the scalar heap: `push` is an append, `pop` scans the
+/// lane heads for the earliest `(time, seq)`.
 ///
 /// The `(time, seq)` key of each lane's head event is mirrored in a
 /// flat `heads` array so the pop scan touches one cache line instead of
@@ -214,12 +237,16 @@ impl WordQueue {
 /// scratch buffers.
 ///
 /// Lane *l* holds exactly what [`crate::Simulator::transition`] would
-/// have reported for stimulus vector *l*: the same toggle count and the
-/// bit-identical f64 switching energy.
+/// have reported for stimulus vector *l*: the same toggle count, the
+/// bit-identical f64 switching energy and, for observed nets, the same
+/// last-toggle arrival times.
 #[derive(Debug)]
 pub struct BitTransitionView<'a> {
     energy_fj: &'a [f64],
     toggles: &'a [u64],
+    /// Last-toggle time per observed slot and lane, fs, at
+    /// `slot * 64 + lane` (empty while nothing is observed).
+    observed_fs: &'a [u64],
     active: usize,
 }
 
@@ -271,15 +298,30 @@ impl BitTransitionView<'_> {
     pub fn total_toggles(&self) -> u64 {
         self.toggles[..self.active].iter().sum()
     }
+
+    /// Arrival (ps) of the last toggle of the `slot`-th observed net
+    /// (see [`BitSim::observe`]) in stimulus vector `lane`, 0.0 if it
+    /// did not toggle or `slot` is not observed — bit-identical to the
+    /// scalar simulator's `observed_arrival_ps(slot)` for that vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= self.active()`.
+    #[must_use]
+    pub fn observed_arrival_ps(&self, slot: usize, lane: usize) -> f64 {
+        assert!(lane < self.active, "lane {lane} not active");
+        self.observed_fs
+            .get(slot * 64 + lane)
+            .map_or(0.0, |&t| t as f64 / FS_PER_PS)
+    }
 }
 
 /// Bit-parallel event-driven simulator: 64 stimulus vectors per word.
 ///
 /// See the [module docs](self) for the lane packing, tail masking and
 /// the per-lane equivalence argument. The engine reports per-lane
-/// energies and toggle counts; it does not track arrival times (timing
-/// characterization needs per-sample event times and stays on
-/// [`crate::BatchSim`]).
+/// energies and toggle counts, plus per-lane last-toggle arrival times
+/// of the nets registered with [`BitSim::observe`].
 ///
 /// # Examples
 ///
@@ -300,6 +342,13 @@ impl BitTransitionView<'_> {
 /// let view = sim.transition(&[0b10]);
 /// assert_eq!(view.lane_toggles(0), 0); // no edge in lane 0
 /// assert_eq!(view.lane_toggles(1), 3); // input + two inverters
+///
+/// // Arrival times need the net registered first.
+/// sim.observe(&[y]);
+/// sim.settle(&[0b00], 2);
+/// let view = sim.transition(&[0b10]);
+/// assert_eq!(view.observed_arrival_ps(0, 0), 0.0);
+/// assert!(view.observed_arrival_ps(0, 1) > 0.0);
 /// ```
 #[derive(Debug)]
 pub struct BitSim<'a> {
@@ -340,6 +389,19 @@ pub struct BitSim<'a> {
     /// Nets that toggled in *any* lane of *any* transition since
     /// construction — the observable behind the STA cross-check.
     net_toggled: Vec<bool>,
+    /// Primary-output flag per net: their toggles set a lane's settle
+    /// time while nets are observed.
+    is_output: Vec<bool>,
+    /// Observation slot per net, or [`NO_SLOT`].
+    observe_slot: Vec<u32>,
+    /// Number of observed slots; 0 keeps arrival tracking off.
+    observed_count: usize,
+    /// Last-toggle time per observed slot and lane, fs, at
+    /// `slot * 64 + lane`.
+    observed_fs: Vec<u64>,
+    /// Last primary-output toggle per lane, fs (tracked while
+    /// observing).
+    lane_settle_fs: Vec<u64>,
 }
 
 impl<'a> BitSim<'a> {
@@ -374,6 +436,10 @@ impl<'a> BitSim<'a> {
             .iter()
             .map(|&(net, v)| (net, if v { !0u64 } else { 0 }))
             .collect();
+        let mut is_output = vec![false; netlist.net_count()];
+        for net in netlist.outputs() {
+            is_output[net.index()] = true;
+        }
         BitSim {
             netlist,
             live_gates,
@@ -391,6 +457,11 @@ impl<'a> BitSim<'a> {
             lane_energy_fj: vec![0.0; 64],
             lane_toggles: vec![0; 64],
             net_toggled: vec![false; netlist.net_count()],
+            is_output,
+            observe_slot: vec![NO_SLOT; netlist.net_count()],
+            observed_count: 0,
+            observed_fs: Vec::new(),
+            lane_settle_fs: vec![0; 64],
         }
     }
 
@@ -398,6 +469,23 @@ impl<'a> BitSim<'a> {
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
         self.netlist
+    }
+
+    /// Registers nets whose per-lane last-toggle arrivals subsequent
+    /// transitions record (slot `i` ↔ `nets[i]`, read through
+    /// [`BitTransitionView::observed_arrival_ps`]); a net listed twice
+    /// reports under its last slot, as in the scalar simulator.
+    ///
+    /// While any net is observed, every transition also records one
+    /// settle-time observation per active lane; `observe(&[])` turns
+    /// both off again.
+    pub fn observe(&mut self, nets: &[NetId]) {
+        self.observe_slot.fill(NO_SLOT);
+        for (slot, net) in nets.iter().enumerate() {
+            self.observe_slot[net.index()] = slot as u32;
+        }
+        self.observed_count = nets.len();
+        self.observed_fs = vec![0; nets.len() * 64];
     }
 
     /// Settles the circuit combinationally at a block of `active`
@@ -496,7 +584,9 @@ impl<'a> BitSim<'a> {
     /// scalar heap's zero-width input glitches lane-exactly); events
     /// carry absolute value words and pop in `(time, seq)` order. Each
     /// active lane is one simulated transition for
-    /// [`crate::sim_transitions`] accounting.
+    /// [`crate::sim_transitions`] accounting. While nets are observed
+    /// (see [`BitSim::observe`]), each lane's arrivals and settle time
+    /// are recorded too.
     ///
     /// # Panics
     ///
@@ -519,8 +609,36 @@ impl<'a> BitSim<'a> {
                 "pinned input {pos} violated in an active lane (plan pins it to {v})"
             );
         }
+        // Two monomorphized event loops: the power path never pays for
+        // arrival bookkeeping it does not read.
+        if self.observed_count > 0 {
+            self.propagate::<true>(new_inputs, mask);
+            crate::counters::record_settles_ps(
+                self.lane_settle_fs[..self.active]
+                    .iter()
+                    .map(|&t| t as f64 / FS_PER_PS),
+            );
+        } else {
+            self.propagate::<false>(new_inputs, mask);
+        }
+        BitTransitionView {
+            energy_fj: &self.lane_energy_fj,
+            toggles: &self.lane_toggles,
+            observed_fs: &self.observed_fs,
+            active: self.active,
+        }
+    }
+
+    /// Applies the input edges and drains the word-event queue; with
+    /// `OBSERVE`, also writes each popped event's time into every
+    /// toggled lane of observed and primary-output nets.
+    fn propagate<const OBSERVE: bool>(&mut self, new_inputs: &[u64], mask: u64) {
         self.lane_energy_fj.fill(0.0);
         self.lane_toggles.fill(0);
+        if OBSERVE {
+            self.observed_fs.fill(0);
+            self.lane_settle_fs.fill(0);
+        }
         self.queue.clear();
         let mut seq: u32 = 0;
         // Word-wide fanout re-evaluations suppressed by push-time
@@ -541,12 +659,16 @@ impl<'a> BitSim<'a> {
             lane_energy_fj,
             lane_toggles,
             net_toggled,
+            is_output,
+            observe_slot,
+            observed_fs,
+            lane_settle_fs,
             ..
         } = self;
 
         // Primary-input edges all happen at t = 0 and pop before any
         // gate event; apply them port by port, re-evaluating fanout
-        // word-wide after each port, exactly like the batched engine.
+        // word-wide after each port, like the scalar heap's t = 0 pops.
         for pos in 0..new_inputs.len() {
             let new = new_inputs[pos] & mask;
             let diff = current_inputs[pos] ^ new;
@@ -604,6 +726,28 @@ impl<'a> BitSim<'a> {
                 lane_toggles[lane] += 1;
                 m &= m - 1;
             }
+            if OBSERVE {
+                // Pops are in (time, seq) order per lane, so the last
+                // write is the lane's last toggle — and, for outputs,
+                // its settle time. Input edges (t = 0) never reach
+                // here, and 0 is already the reset value.
+                let slot = observe_slot[net];
+                if slot != NO_SLOT {
+                    let base = slot as usize * 64;
+                    let mut m = toggle;
+                    while m != 0 {
+                        observed_fs[base + m.trailing_zeros() as usize] = ev.time_fs;
+                        m &= m - 1;
+                    }
+                }
+                if is_output[net] {
+                    let mut m = toggle;
+                    while m != 0 {
+                        lane_settle_fs[m.trailing_zeros() as usize] = ev.time_fs;
+                        m &= m - 1;
+                    }
+                }
+            }
             let start = fanout_offsets[net] as usize;
             let end = fanout_offsets[net + 1] as usize;
             for gate in &fanout_gates[start..end] {
@@ -628,11 +772,6 @@ impl<'a> BitSim<'a> {
         }
 
         crate::counters::record_events(u64::from(seq), filtered);
-        BitTransitionView {
-            energy_fj: &self.lane_energy_fj,
-            toggles: &self.lane_toggles,
-            active: self.active,
-        }
     }
 }
 

@@ -100,7 +100,7 @@ impl CellKind {
     /// `a | b << 1 | c << 2` holds `eval(a, b, c)`.
     ///
     /// This is the representation the simulation engines compile gates
-    /// to — [`crate::BatchSim`] indexes it one minterm at a time, while
+    /// to — [`crate::Simulator`] indexes it one minterm at a time, while
     /// [`crate::BitSim`] expands it into word-wide boolean formulas.
     #[must_use]
     pub fn truth_table(self) -> u8 {

@@ -189,7 +189,7 @@ impl BoothMultiplierCircuit {
 
     /// Packs `(weight, activation)` into a reused buffer — the
     /// allocation-free companion of [`BoothMultiplierCircuit::encode`] used
-    /// by the batched characterization loops.
+    /// by the characterization loops.
     pub fn encode_into(&self, weight: i64, act: u64, out: &mut Vec<bool>) {
         out.clear();
         to_bits_into(weight, self.weight_bits, out);

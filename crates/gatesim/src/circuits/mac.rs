@@ -185,7 +185,7 @@ impl MacCircuit {
 
     /// Packs `(weight, activation, partial sum)` into a reused buffer —
     /// the allocation-free companion of [`MacCircuit::encode`] used by
-    /// the batched characterization loops.
+    /// the characterization loops.
     pub fn encode_into(&self, weight: i64, act: u64, psum: i64, out: &mut Vec<bool>) {
         out.clear();
         to_bits_into(weight, self.weight_bits, out);

@@ -2,7 +2,7 @@
 //!
 //! The warm-start cache's contract is "a warmed run performs zero
 //! gate-level work". That claim needs an observable: every
-//! [`crate::Simulator::transition`] and [`crate::BatchSim::transition`]
+//! [`crate::Simulator::transition`] and [`crate::BitSim::transition`]
 //! bumps a global counter, so tests, the `charstore warm` CLI and the
 //! characterization bench can assert that a cache-served pipeline run
 //! triggered *no* simulation at all — not just that it was fast.
@@ -10,7 +10,7 @@
 //! The unit is one *stimulus vector* transition, regardless of engine:
 //! a [`crate::BitSim::transition`] call that evaluates 64 packed
 //! vectors in one pass records 64, so counts stay comparable across
-//! the scalar, batched and bit-parallel engines.
+//! the scalar and bit-parallel engines.
 //!
 //! The counter is monotonic for the life of the process; callers
 //! interested in a window take a snapshot before and subtract after.
@@ -26,6 +26,19 @@
 //! registry overhead. The per-transition event totals (scheduled vs.
 //! push-time-filtered) and the settle-time histogram live only on the
 //! registry — they are observability, not contract.
+//!
+//! The event totals count what each engine schedules, so their unit
+//! differs by engine: one scalar event on [`crate::Simulator`], one
+//! 64-lane *word* event on [`crate::BitSim`]. A word event carries up
+//! to 64 vectors' toggles, so `events_scheduled / transitions` falls by
+//! design when work moves onto the bit-parallel engine.
+//!
+//! The settle-time histogram gets one observation per *timing* sample:
+//! the scalar engine records every transition's settle time, while
+//! `BitSim` records one per active lane only while nets are observed
+//! (timing characterization) and none on the power path. Its count
+//! therefore splits a run's transitions into timing and power
+//! samples.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
@@ -60,7 +73,7 @@ pub fn register_metrics() {
 }
 
 /// Total gate-level transitions simulated by this process so far, over
-/// both the scalar and the batched engine.
+/// both the scalar and the bit-parallel engine.
 #[must_use]
 pub fn sim_transitions() -> u64 {
     SIM_TRANSITIONS.load(Ordering::Relaxed)
@@ -96,6 +109,14 @@ pub(crate) fn record_events(scheduled: u64, filtered: u64) {
 #[inline]
 pub(crate) fn record_settle_ps(ps: f64) {
     REGISTRY.settle_ps.observe(ps);
+}
+
+/// Records one settle time per lane of a bit-parallel block, each in
+/// the same picoseconds as [`record_settle_ps`], with one registry
+/// update per block (crate-internal).
+#[inline]
+pub(crate) fn record_settles_ps(ps: impl IntoIterator<Item = f64>) {
+    REGISTRY.settle_ps.observe_many(ps);
 }
 
 /// Records one [`crate::PrunePlan`] pass: how many gates it proved

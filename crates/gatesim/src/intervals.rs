@@ -94,8 +94,7 @@ impl NetInterval {
 ///
 /// Produced once per (netlist, library, pins) by [`PrunePlan::new`] and
 /// consumed by every engine's `with_plan` constructor
-/// ([`crate::Simulator::with_plan`], [`crate::BatchSim::with_plan`],
-/// [`crate::BitSim::with_plan`]). The engines assert on every
+/// ([`crate::Simulator::with_plan`], [`crate::BitSim::with_plan`]). The engines assert on every
 /// settle/transition that the pinned inputs actually hold their pinned
 /// values — the plan's proofs are conditional on exactly that.
 ///
@@ -291,8 +290,8 @@ pub(crate) struct GateRow {
 /// plan): gate rows, the live gate order, baked constants, pin
 /// assertions, the live-filtered fanout CSR and per-net energies.
 ///
-/// Built identically by `Simulator`, `BatchSim` and `BitSim`, so the
-/// three engines cannot drift in how they compile a netlist.
+/// Built identically by `Simulator` and `BitSim`, so the two engines
+/// cannot drift in how they compile a netlist.
 #[derive(Debug)]
 pub(crate) struct EngineBuild {
     /// One row per gate, indexed by `GateId` (`lane` is only meaningful

@@ -13,16 +13,13 @@
 //!   used by a weight-stationary systolic array.
 //! * [`sim`] — an event-driven, transport-delay timed simulator that
 //!   reports switching energy (including glitches) and the settle time of
-//!   every transition, i.e. dynamic timing analysis (DTA).
-//! * [`engine`] — the batched simulation engine ([`BatchSim`]): same
-//!   semantics as [`sim`], but allocation-free with incremental settles,
-//!   a reusable lane-based event queue and streaming aggregation — the
-//!   per-sample-timing hot path (2.5×+ the scalar throughput,
-//!   bit-identical results).
-//! * [`bitsim`] — the bit-parallel engine ([`BitSim`]): 64 stimulus
+//!   every transition, i.e. dynamic timing analysis (DTA). The scalar
+//!   reference every other result is checked against.
+//! * [`bitsim`] — the production engine ([`BitSim`]): 64 stimulus
 //!   vectors packed into one `u64` per net, word-wide truth-table
-//!   evaluation and popcount toggle counting — the power
-//!   characterization hot path, lane-exactly bit-identical to [`sim`].
+//!   evaluation, popcount toggle counting and per-lane arrival times of
+//!   observed nets — the power *and* timing characterization hot path,
+//!   lane-exactly bit-identical to [`sim`].
 //! * [`sta`] — static timing analysis: longest structural path from any
 //!   net to any net, used for the accumulator adder exactly as the paper
 //!   describes (Fig. 5).
@@ -61,7 +58,6 @@ pub mod builder;
 pub mod cells;
 pub mod circuits;
 pub mod counters;
-pub mod engine;
 pub mod export;
 pub mod intervals;
 pub mod netlist;
@@ -73,7 +69,6 @@ pub use bitsim::{BitSim, BitTransitionView};
 pub use builder::NetlistBuilder;
 pub use cells::{CellKind, CellLibrary, CellParams};
 pub use counters::{register_metrics, sim_transitions};
-pub use engine::{BatchAccumulator, BatchSim, TransitionView};
 pub use intervals::{NetInterval, PrunePlan};
 pub use netlist::{Gate, GateId, NetId, Netlist};
 pub use sim::{Simulator, TransitionStats};

@@ -316,7 +316,7 @@ pub fn to_bits(value: i64, width: usize) -> Vec<bool> {
 }
 
 /// Appends the little-endian bits of `value` to `out` — the
-/// allocation-free companion of [`to_bits`] used by the batched
+/// allocation-free companion of [`to_bits`] used by the
 /// simulation hot paths.
 pub fn to_bits_into(value: i64, width: usize, out: &mut Vec<bool>) {
     out.extend((0..width).map(|i| (value >> i) & 1 == 1));

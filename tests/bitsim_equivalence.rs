@@ -1,8 +1,9 @@
 //! Property tests proving the bit-parallel [`gatesim::BitSim`] engine
 //! is lane-exactly bit-identical to the scalar [`gatesim::Simulator`]
-//! reference — toggle counts and f64 switching energies compare with
-//! exact `==` per stimulus vector, blocks deliberately straddle the
-//! 64-lane word width to exercise tail masking, and every netlist is
+//! reference — toggle counts, f64 switching energies and observed
+//! last-toggle arrivals compare with exact `==` per stimulus vector,
+//! blocks deliberately straddle the 64-lane word width to exercise
+//! tail masking, and every netlist is
 //! cross-checked against STA reachability: a net the static analysis
 //! of `gatesim::sta` proves unreachable from the primary inputs must
 //! never toggle in any lane.
@@ -12,8 +13,8 @@ use gatesim::{
     BitSim, CellKind, CellLibrary, NetId, Netlist, NetlistBuilder, PrunePlan, Simulator, Sta,
 };
 use powerpruning::chars::{
-    characterize_power, characterize_power_batched, characterize_power_scalar,
-    characterize_power_with_threads, MacHardware, PowerConfig, PsumBinning,
+    characterize_power, characterize_power_scalar, characterize_power_with_threads, MacHardware,
+    PowerConfig, PsumBinning,
 };
 use proptest::prelude::*;
 use systolic::stats::TransitionStats;
@@ -33,45 +34,58 @@ fn pack(vectors: &[Vec<bool>]) -> Vec<u64> {
 
 /// Runs `pairs` through the scalar reference and through [`BitSim`] in
 /// blocks of at most `block` lanes, asserting per-vector exact
-/// agreement on toggles and energy, then cross-checks two standing STA
-/// properties: nets with no arrival from any primary input must never
-/// have toggled, and every observed per-net settle time must fall
-/// inside the net's `[min, max]` arrival interval from
-/// [`PrunePlan::unpinned`] — the two-sided strengthening of the old
-/// one-sided `delay <= STA bound` check.
+/// agreement on toggles and energy — on an engine without observed
+/// nets (the power path) and on one observing every net (the timing
+/// path) — and on every net's last-toggle arrival. It then
+/// cross-checks two standing STA properties: nets with no arrival from
+/// any primary input must never have toggled, and every per-lane
+/// settle time must fall inside the net's `[min, max]` arrival
+/// interval from [`PrunePlan::unpinned`] — the two-sided strengthening
+/// of the old one-sided `delay <= STA bound` check.
 fn assert_bitsim_agrees(netlist: &Netlist, pairs: &[(Vec<bool>, Vec<bool>)], block: usize) {
     assert!((1..=64).contains(&block));
     let lib = CellLibrary::nangate15_like();
     let mut scalar = Simulator::new(netlist, &lib);
     let mut bits = BitSim::new(netlist, &lib);
+    let mut watched = BitSim::new(netlist, &lib);
     let plan = PrunePlan::unpinned(netlist, &lib);
     let all_nets: Vec<NetId> = netlist.net_ids().collect();
     scalar.observe(&all_nets);
+    watched.observe(&all_nets);
 
     for chunk in pairs.chunks(block) {
         let from: Vec<Vec<bool>> = chunk.iter().map(|(f, _)| f.clone()).collect();
         let to: Vec<Vec<bool>> = chunk.iter().map(|(_, t)| t.clone()).collect();
         bits.settle(&pack(&from), chunk.len());
+        watched.settle(&pack(&from), chunk.len());
         let view = bits.transition(&pack(&to));
+        let wview = watched.transition(&pack(&to));
         assert_eq!(view.active(), chunk.len());
         for (lane, (f, t)) in chunk.iter().enumerate() {
             scalar.settle(f);
             let stats = scalar.transition(t);
-            assert_eq!(
-                stats.toggles,
-                view.lane_toggles(lane),
-                "toggles diverged in lane {lane}"
-            );
-            assert_eq!(
-                stats.energy_fj,
-                view.lane_energy_fj(lane),
-                "energy diverged in lane {lane}"
-            );
+            for v in [&view, &wview] {
+                assert_eq!(
+                    stats.toggles,
+                    v.lane_toggles(lane),
+                    "toggles diverged in lane {lane}"
+                );
+                assert_eq!(
+                    stats.energy_fj,
+                    v.lane_energy_fj(lane),
+                    "energy diverged in lane {lane}"
+                );
+            }
             // Interval property: a gate output's last toggle must land
             // inside its static arrival interval. Primary-input edges
             // arrive at t = 0 by definition and are skipped.
             for (slot, &net) in all_nets.iter().enumerate() {
-                let t_ps = stats.observed_arrival_ps(slot);
+                let t_ps = wview.observed_arrival_ps(slot, lane);
+                assert_eq!(
+                    stats.observed_arrival_ps(slot),
+                    t_ps,
+                    "arrival of net {net} diverged in lane {lane}"
+                );
                 if t_ps > 0.0 {
                     let iv = plan
                         .interval(net)
@@ -95,7 +109,7 @@ fn assert_bitsim_agrees(netlist: &Netlist, pairs: &[(Vec<bool>, Vec<bool>)], blo
         let net = gate.output;
         if arrivals[net.index()].is_none() {
             assert!(
-                !bits.net_ever_toggled(net),
+                !bits.net_ever_toggled(net) && !watched.net_ever_toggled(net),
                 "net {net} is STA-unreachable from inputs but toggled in BitSim"
             );
         }
@@ -253,9 +267,53 @@ fn fake_workload() -> (TransitionStats, PsumBinning) {
     (stats, binning)
 }
 
+/// Observed-net arrivals must agree lane by lane (the seam the timing
+/// characterization composes over), on the MAC's product bits rather
+/// than its primary outputs, across a full block and a 6-lane tail.
+#[test]
+fn observed_arrivals_agree_on_mac_products() {
+    let mac = MacCircuit::new(4, 4, 10);
+    let lib = CellLibrary::nangate15_like();
+    let mut scalar = Simulator::new(mac.netlist(), &lib);
+    let mut bits = BitSim::new(mac.netlist(), &lib);
+    scalar.observe(mac.product_nets());
+    bits.observe(mac.product_nets());
+
+    let mut next = lcg(99, 1, 0);
+    let pairs: Vec<(Vec<bool>, Vec<bool>)> = (0..70)
+        .map(|_| {
+            (
+                mac.encode((next() & 0xf) as i64 - 8, next() & 0xf, 0),
+                mac.encode((next() & 0xf) as i64 - 8, next() & 0xf, 0),
+            )
+        })
+        .collect();
+    let mut toggled = false;
+    for chunk in pairs.chunks(64) {
+        let from: Vec<Vec<bool>> = chunk.iter().map(|(f, _)| f.clone()).collect();
+        let to: Vec<Vec<bool>> = chunk.iter().map(|(_, t)| t.clone()).collect();
+        bits.settle(&pack(&from), chunk.len());
+        let view = bits.transition(&pack(&to));
+        for (lane, (f, t)) in chunk.iter().enumerate() {
+            scalar.settle(f);
+            let stats = scalar.transition(t);
+            for slot in 0..mac.product_nets().len() {
+                let t_ps = view.observed_arrival_ps(slot, lane);
+                assert_eq!(
+                    stats.observed_arrival_ps(slot),
+                    t_ps,
+                    "observed arrival {slot} diverged in lane {lane}"
+                );
+                toggled |= t_ps > 0.0;
+            }
+        }
+    }
+    assert!(toggled, "expected some product-bit arrivals");
+}
+
 /// `characterize_power` (BitSim hot path) must reproduce the scalar
-/// and batched references bit-for-bit at sample counts below, at and
-/// above the 64-lane word width.
+/// reference bit-for-bit at sample counts below, at and above the
+/// 64-lane word width.
 #[test]
 fn power_profiles_identical_across_engines_and_tail_sizes() {
     let hw = MacHardware::small();
@@ -270,9 +328,7 @@ fn power_profiles_identical_across_engines_and_tail_sizes() {
         };
         let bitsim = characterize_power(&hw, &stats, &binning, &cfg);
         let scalar = characterize_power_scalar(&hw, &stats, &binning, &cfg);
-        let batched = characterize_power_batched(&hw, &stats, &binning, &cfg);
         assert_eq!(bitsim, scalar, "BitSim diverged at {samples} samples");
-        assert_eq!(batched, scalar, "BatchSim diverged at {samples} samples");
     }
 }
 

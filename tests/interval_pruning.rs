@@ -1,4 +1,4 @@
-//! Prune-plan and interval property suite across all three engines.
+//! Prune-plan and interval property suite across both engines.
 //!
 //! [`gatesim::PrunePlan`] proves gates silent before simulation; these
 //! tests pin down the degenerate shapes of that proof — a fully pinned
@@ -9,9 +9,7 @@
 //! falls inside its STA interval, pin violations panic loudly, and the
 //! observability counters record how much work the prover saved.
 
-use gatesim::{
-    BatchSim, BitSim, CellLibrary, NetId, Netlist, NetlistBuilder, PrunePlan, Simulator,
-};
+use gatesim::{BitSim, CellLibrary, NetId, Netlist, NetlistBuilder, PrunePlan, Simulator};
 use powerpruning::chars::MacHardware;
 
 /// Packs one bool vector per lane into one `u64` word per input bit.
@@ -70,19 +68,13 @@ fn fully_pinned_netlist_prunes_everything_and_never_toggles() {
         }
     }
 
-    // All three engines: re-applying the same vector costs nothing.
+    // Both engines: re-applying the same vector costs nothing.
     let mut scalar = Simulator::with_plan(nl, lib, &plan);
     scalar.settle(&stim);
     let stats = scalar.transition(&stim);
     assert_eq!(stats.toggles, 0);
     assert_eq!(stats.energy_fj, 0.0);
     assert_eq!(stats.delay_ps, 0.0);
-
-    let mut batch = BatchSim::with_plan(nl, lib, &plan);
-    batch.settle(&stim);
-    let view = batch.transition(&stim);
-    assert_eq!(view.toggles, 0);
-    assert_eq!(view.energy_fj, 0.0);
 
     let mut bits = BitSim::with_plan(nl, lib, &plan);
     let words = pack(&[stim.clone(), stim.clone()]);
@@ -105,23 +97,21 @@ fn zero_delay_gates_collapse_every_interval_to_zero() {
         assert_eq!(iv.hi_fs(), 0);
         assert!(iv.contains_ps(0.0));
     }
-    // All three engines still agree on toggles and energy at delay 0.
+    // Both engines still agree on toggles, energy and (zero) arrivals
+    // at delay 0.
     let mut scalar = Simulator::new(&nl, &lib);
-    let mut batch = BatchSim::new(&nl, &lib);
     let mut bits = BitSim::new(&nl, &lib);
+    bits.observe(nl.outputs());
     let from = vec![false, false];
     let to = vec![true, true];
     scalar.settle(&from);
-    batch.settle(&from);
     bits.settle(&pack(std::slice::from_ref(&from)), 1);
     let s = scalar.transition(&to);
-    let b = batch.transition(&to);
-    assert_eq!(s.toggles, b.toggles);
-    assert_eq!(s.energy_fj, b.energy_fj);
     assert_eq!(s.delay_ps, 0.0);
     let w = bits.transition(&pack(std::slice::from_ref(&to)));
     assert_eq!(w.lane_toggles(0), s.toggles);
     assert_eq!(w.lane_energy_fj(0), s.energy_fj);
+    assert_eq!(w.observed_arrival_ps(0, 0), 0.0);
 }
 
 #[test]
@@ -147,13 +137,13 @@ fn constant_fed_subgraph_is_pruned_by_every_engine_constructor() {
     let mut scalar = Simulator::new(&nl, &lib);
     scalar.settle(&[false]);
     assert_eq!(scalar.output_values(), vec![false]);
-    let mut batch = BatchSim::new(&nl, &lib);
-    batch.settle(&[false]);
-    assert!(batch.value(dead));
-    assert!(!batch.value(dead2));
-    assert_eq!(batch.output_values(), vec![false]);
+    assert!(scalar.value(dead));
+    assert!(!scalar.value(dead2));
     let mut bits = BitSim::new(&nl, &lib);
     bits.settle(&[0b01], 2);
+    // Baked constants fill every lane, active or not.
+    assert_eq!(bits.value(dead), !0);
+    assert_eq!(bits.value(dead2), 0);
     let view = bits.transition(&[0b10]);
     // Lanes 0 and 1 swap the input; the dead cone never toggles.
     assert_eq!(view.lane_toggles(0), 2); // input + OR output
@@ -176,10 +166,10 @@ fn pinned_engines_match_unpruned_references_bit_exactly() {
         );
         let mut scalar_p = Simulator::with_plan(nl, lib, &plan);
         let mut scalar_u = Simulator::new(nl, lib);
-        let mut batch_p = BatchSim::with_plan(nl, lib, &plan);
-        let mut batch_u = BatchSim::new(nl, lib);
         let mut bits_p = BitSim::with_plan(nl, lib, &plan);
         let mut bits_u = BitSim::new(nl, lib);
+        bits_p.observe(nl.outputs());
+        bits_u.observe(nl.outputs());
         let stims: Vec<Vec<bool>> = (0..24)
             .map(|_| {
                 hw.mac()
@@ -193,33 +183,31 @@ fn pinned_engines_match_unpruned_references_bit_exactly() {
             let sp = scalar_p.transition(to);
             let su = scalar_u.transition(to);
             assert_eq!(sp, su, "scalar diverged under pruning, code {code}");
-            batch_p.settle(from);
-            batch_u.settle(from);
-            let bp = batch_p.transition(to);
-            let (bp_e, bp_t, bp_d) = (bp.energy_fj, bp.toggles, bp.delay_ps);
-            let bu = batch_u.transition(to);
-            assert_eq!(bp_e, bu.energy_fj, "batch energy diverged, code {code}");
-            assert_eq!(bp_t, bu.toggles, "batch toggles diverged, code {code}");
-            assert_eq!(bp_d, bu.delay_ps, "batch delay diverged, code {code}");
         }
         let words: Vec<Vec<u64>> = stims.windows(2).map(|p| pack(&[p[1].clone()])).collect();
         bits_p.settle(&pack(&[stims[0].clone()]), 1);
         bits_u.settle(&pack(&[stims[0].clone()]), 1);
+        let outputs = nl.outputs().len();
         for w in &words {
             let vp = bits_p.transition(w);
             let (vp_e, vp_t) = (vp.lane_energy_fj(0), vp.lane_toggles(0));
+            let vp_a: Vec<f64> = (0..outputs).map(|o| vp.observed_arrival_ps(o, 0)).collect();
             let vu = bits_u.transition(w);
+            let vu_a: Vec<f64> = (0..outputs).map(|o| vu.observed_arrival_ps(o, 0)).collect();
             assert_eq!(vp_e, vu.lane_energy_fj(0), "bitsim energy, code {code}");
             assert_eq!(vp_t, vu.lane_toggles(0), "bitsim toggles, code {code}");
+            assert_eq!(vp_a, vu_a, "bitsim arrivals, code {code}");
         }
     }
 }
 
 #[test]
 fn pruned_settle_times_stay_inside_their_intervals() {
-    // The interval property under a *pinned* plan: every settle time
-    // the pruned batched engine reports falls inside the net's [min,
-    // max] STA arrival interval computed over the live cone.
+    // The interval property under a *pinned* plan: every per-lane
+    // settle time the pruned bit-parallel engine reports falls inside
+    // the net's [min, max] STA arrival interval computed over the live
+    // cone. One 40-lane block per code, each lane a chained step of an
+    // activation walk (repeats included: a silent lane must report 0).
     let hw = MacHardware::small();
     let mult = hw.mult_netlist();
     let lib = hw.lib();
@@ -227,32 +215,37 @@ fn pruned_settle_times_stay_inside_their_intervals() {
     let mut next = lcg(0xca11);
     for code in [-5i64, 2, 6] {
         let plan = PrunePlan::new(mult, lib, &hw.mult_weight_pins(code as i32));
-        let mut sim = BatchSim::with_plan(mult, lib, &plan);
+        let mut sim = BitSim::with_plan(mult, lib, &plan);
         sim.observe(&all_nets);
-        let mut prev = hw.encode_mult(code, 0);
-        sim.settle(&prev);
-        for _ in 0..40 {
-            let to = hw.encode_mult(code, next() & 0xf);
-            if to == prev {
-                continue;
-            }
-            let view = sim.transition(&to);
+        let walk: Vec<Vec<bool>> = (0..41)
+            .map(|_| hw.encode_mult(code, next() & 0xf))
+            .collect();
+        let lanes = walk.len() - 1;
+        sim.settle(&pack(&walk[..lanes]), lanes);
+        let view = sim.transition(&pack(&walk[1..]));
+        let mut toggled = false;
+        for lane in 0..lanes {
             for (slot, &net) in all_nets.iter().enumerate() {
-                let t_ps = view.observed_arrival_ps(slot);
+                let t_ps = view.observed_arrival_ps(slot, lane);
+                if walk[lane] == walk[lane + 1] {
+                    assert_eq!(t_ps, 0.0, "net {net} toggled in a silent lane");
+                }
                 if t_ps > 0.0 {
+                    toggled = true;
                     let iv = plan
                         .interval(net)
                         .unwrap_or_else(|| panic!("net {net} toggled without an interval"));
                     assert!(
                         iv.contains_ps(t_ps),
-                        "net {net} settled at {t_ps} ps outside [{}, {}] ps (code {code})",
+                        "net {net} settled at {t_ps} ps outside [{}, {}] ps \
+                         (code {code}, lane {lane})",
                         iv.lo_ps(),
                         iv.hi_ps()
                     );
                 }
             }
-            prev = to;
         }
+        assert!(toggled, "code {code}: the walk sensitized nothing");
     }
 }
 
@@ -268,11 +261,17 @@ fn scalar_settle_rejects_pin_violations() {
 #[test]
 #[should_panic(expected = "pinned input")]
 fn batch_transition_rejects_pin_violations() {
+    // The 64-lane block transition re-checks the pins: lane 0 keeps the
+    // weight, lane 1 lets it drift after a clean settle.
     let hw = MacHardware::small();
     let plan = PrunePlan::new(hw.mac().netlist(), hw.lib(), &hw.mac_weight_pins(5));
-    let mut sim = BatchSim::with_plan(hw.mac().netlist(), hw.lib(), &plan);
-    sim.settle(&hw.mac().encode(5, 0, 0));
-    let _ = sim.transition(&hw.mac().encode(-5, 1, 0)); // weight drifts
+    let mut sim = BitSim::with_plan(hw.mac().netlist(), hw.lib(), &plan);
+    let from = hw.mac().encode(5, 0, 0);
+    sim.settle(&pack(&[from.clone(), from]), 2);
+    let _ = sim.transition(&pack(&[
+        hw.mac().encode(5, 1, 0),
+        hw.mac().encode(-5, 1, 0),
+    ]));
 }
 
 #[test]
