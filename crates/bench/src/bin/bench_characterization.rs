@@ -15,7 +15,10 @@
 //! The `power_bitsim` and `timing_bitsim` blocks measure the production
 //! `characterize_power` and `characterize_timing` paths, which pack 64
 //! stimulus vectors per machine word on top of the per-code thread
-//! pool, against their scalar references. The
+//! pool, against their scalar references. Each also reports its
+//! word-event fragmentation from the `gatesim_*` counters:
+//! `word_events_per_sample` (deterministic, gated by CI) and
+//! `lanes_per_word_event` (how many lanes one word event serves). The
 //! `obs_overhead` block guards the observability layer: the same
 //! bit-parallel hot loop with the `obs` metrics registry live vs
 //! disabled must stay within 2% of each other.
@@ -78,13 +81,57 @@ fn workload() -> (TransitionStats, PsumBinning) {
     (stats, binning)
 }
 
+/// Word-event accounting of one production run, from the
+/// `gatesim_*` registry counters around it: the deterministic measure
+/// of how well 64-lane blocks share their events.
+struct EventCounts {
+    /// Stimulus transitions simulated (one per active lane).
+    transitions: u64,
+    /// Word events scheduled.
+    scheduled: u64,
+    /// Lanes toggled by those events once popped.
+    lane_toggles: u64,
+}
+
+impl EventCounts {
+    /// Runs `f` and counts the gate-level work it did.
+    fn around<T>(f: impl FnOnce() -> T) -> (T, Self) {
+        let read = || {
+            let c = |name| obs::metrics::counter_value(name).unwrap_or(0);
+            [
+                c("gatesim_sim_transitions_total"),
+                c("gatesim_events_scheduled_total"),
+                c("gatesim_lane_toggles_total"),
+            ]
+        };
+        let before = read();
+        let out = f();
+        let after = read();
+        let counts = EventCounts {
+            transitions: after[0] - before[0],
+            scheduled: after[1] - before[1],
+            lane_toggles: after[2] - before[2],
+        };
+        (out, counts)
+    }
+
+    fn word_events_per_sample(&self) -> f64 {
+        self.scheduled as f64 / self.transitions.max(1) as f64
+    }
+
+    fn lanes_per_word_event(&self) -> f64 {
+        self.lane_toggles as f64 / self.scheduled.max(1) as f64
+    }
+}
+
 /// One production path against its scalar reference: the bit-parallel
-/// engine's wall-clock and speedup, and whether the two profiles are
-/// bit-identical.
+/// engine's wall-clock and speedup, its word-event fragmentation, and
+/// whether the two profiles are bit-identical.
 struct BitMeasurement {
     samples: usize,
     bitsim_s: f64,
     scalar_s: f64,
+    events: EventCounts,
     identical: bool,
 }
 
@@ -99,7 +146,9 @@ impl BitMeasurement {
                 "{{\"samples\": {}, ",
                 "\"bitsim_s\": {:.3}, \"scalar_s\": {:.3}, ",
                 "\"bitsim_samples_per_s\": {:.1}, \"scalar_samples_per_s\": {:.1}, ",
-                "\"speedup_over_scalar\": {:.3}, \"identical\": {}}}"
+                "\"speedup_over_scalar\": {:.3}, ",
+                "\"word_events_per_sample\": {:.3}, \"lanes_per_word_event\": {:.3}, ",
+                "\"identical\": {}}}"
             ),
             self.samples,
             self.bitsim_s,
@@ -107,6 +156,8 @@ impl BitMeasurement {
             self.samples as f64 / self.bitsim_s,
             self.samples as f64 / self.scalar_s,
             self.speedup_over_scalar(),
+            self.events.word_events_per_sample(),
+            self.events.lanes_per_word_event(),
             self.identical,
         )
     }
@@ -566,7 +617,8 @@ fn main() {
         baseline_fj_per_cycle: 90.0,
     };
     let t = Instant::now();
-    let bitsim = characterize_power(&hw, &stats, &binning, &power_cfg);
+    let (bitsim, power_events) =
+        EventCounts::around(|| characterize_power(&hw, &stats, &binning, &power_cfg));
     let bitsim_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let scalar = characterize_power_scalar(&hw, &stats, &binning, &power_cfg);
@@ -575,11 +627,15 @@ fn main() {
         samples: codes * power_samples,
         bitsim_s,
         scalar_s,
+        events: power_events,
         identical: bitsim == scalar,
     };
     eprintln!(
-        "power:  bitsim {bitsim_s:.2}s, scalar {scalar_s:.2}s -> {:.2}x, identical: {}",
+        "power:  bitsim {bitsim_s:.2}s, scalar {scalar_s:.2}s -> {:.2}x, \
+         {:.1} word events/sample, {:.2} lanes/word event, identical: {}",
         power_bitsim.speedup_over_scalar(),
+        power_bitsim.events.word_events_per_sample(),
+        power_bitsim.events.lanes_per_word_event(),
         power_bitsim.identical
     );
 
@@ -612,7 +668,7 @@ fn main() {
         weight_stride: stride,
     };
     let t = Instant::now();
-    let bitsim_t = characterize_timing(&hw, &timing_cfg);
+    let (bitsim_t, timing_events) = EventCounts::around(|| characterize_timing(&hw, &timing_cfg));
     let bitsim_ts = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let scalar_t = characterize_timing_scalar(&hw, &timing_cfg);
@@ -621,11 +677,15 @@ fn main() {
         samples: codes * timing_samples,
         bitsim_s: bitsim_ts,
         scalar_s: scalar_ts,
+        events: timing_events,
         identical: bitsim_t == scalar_t,
     };
     eprintln!(
-        "timing: bitsim {bitsim_ts:.2}s, scalar {scalar_ts:.2}s -> {:.2}x, identical: {}",
+        "timing: bitsim {bitsim_ts:.2}s, scalar {scalar_ts:.2}s -> {:.2}x, \
+         {:.1} word events/sample, {:.2} lanes/word event, identical: {}",
         timing_bitsim.speedup_over_scalar(),
+        timing_bitsim.events.word_events_per_sample(),
+        timing_bitsim.events.lanes_per_word_event(),
         timing_bitsim.identical
     );
 

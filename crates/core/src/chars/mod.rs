@@ -9,6 +9,7 @@
 //!   with static timing of the adder (paper §III-B, Figs. 3 and 5).
 
 pub mod bins;
+mod blocks;
 pub mod power;
 pub mod timing;
 

@@ -8,13 +8,19 @@
 //! weight's average power — the quantity plotted in the paper's Fig. 2.
 //!
 //! The hot path runs on the bit-parallel [`BitSim`] engine: each
-//! weight's sample stream is chunked into blocks of 64 stimulus
-//! vectors, packed one `u64` lane per net, and simulated word-wide —
+//! weight's sample stream is packed into blocks of 64 stimulus
+//! vectors, one `u64` lane per net, and simulated word-wide —
 //! composing with the per-code thread fan-out so threads × bit-lanes
-//! multiply. The scalar path ([`characterize_power_scalar`]) is kept
+//! multiply. Blocks are clustered by activation transition (toggled
+//! bits, then start value): samples sharing `(from, to)` activations
+//! drive identical multiplier events, which the engine then schedules
+//! once per block instead of once per lane. Each lane's energy is written back to its sample's slot and
+//! the energies are summed in sample order, the scalar reference's
+//! f64 chain. The scalar path ([`characterize_power_scalar`]) is kept
 //! as the bit-exact reference and bench baseline; both produce
 //! **identical** profiles, energies included.
 
+use crate::chars::blocks::{run_clustered, BlockScratch};
 use crate::chars::{CharConfigError, MacHardware, PsumBinning};
 use gatesim::{BitSim, PrunePlan, Simulator};
 use rand::rngs::StdRng;
@@ -262,8 +268,9 @@ fn code_rng(cfg: &PowerConfig, code_idx: usize) -> StdRng {
 /// from `act_stats` and partial-sum transitions from `binning`, so the
 /// sampled input stream reflects real network execution. Weights are
 /// characterized in parallel on the bit-parallel [`BitSim`] engine —
-/// 64 sampled transitions per simulated word on top of the per-code
-/// thread fan-out — under a per-code [`PrunePlan`]: the held weight
+/// 64 sampled transitions per simulated word, clustered by activation
+/// transition, on top of the per-code thread fan-out — under a
+/// per-code [`PrunePlan`]: the held weight
 /// bus is pinned, constant propagation proves the weight's dead cone
 /// silent, and only the live cone is simulated. Pruning is exact
 /// (pruned gates provably never toggle), so the profile is
@@ -358,21 +365,13 @@ fn power_bitsim_impl(
     let all_codes = hw.weight_codes();
     let codes = strided_codes(&all_codes, cfg.weight_stride);
     let mut energy_fj = vec![0.0f64; codes.len()];
-    let input_count = hw.mac().netlist().inputs().len();
 
     parallel::par_rows_mut_with_threads(
         threads.unwrap_or_else(parallel::max_threads),
         &mut energy_fj,
         1,
-        || {
-            (
-                Vec::new(),
-                Vec::new(),
-                vec![0u64; input_count],
-                vec![0u64; input_count],
-            )
-        },
-        |(from, to, from_words, to_words), idx, slot| {
+        || (BlockScratch::default(), Vec::new()),
+        |(scratch, sample_energy), idx, slot| {
             let code = codes[idx];
             // The engine is built per code, not per thread: with the
             // weight bus pinned at this code, the prune plan proves the
@@ -388,38 +387,30 @@ fn power_bitsim_impl(
             let mut rng = code_rng(cfg, idx);
             let acts = act_stats.sample_activation_transitions(cfg.samples_per_weight, &mut rng);
             let psums = binning.sample_transitions(cfg.samples_per_weight, &mut rng);
-            let mut total = 0.0f64;
-            let mut base = 0usize;
-            // Blocks of up to 64 samples, one bit-lane each; the final
-            // partial block relies on the engine's tail masking. The
-            // lane-order energy fold reproduces the scalar reference's
-            // per-sample f64 sum exactly.
-            while base < cfg.samples_per_weight {
-                let lanes = (cfg.samples_per_weight - base).min(64);
-                from_words.fill(0);
-                to_words.fill(0);
-                for lane in 0..lanes {
-                    let (af, at) = acts[base + lane];
-                    let (pf, pt) = psums[base + lane];
+            sample_energy.resize(cfg.samples_per_weight, 0.0);
+            // Blocks cluster samples by activation transition: lanes
+            // sharing one drive identical multiplier events, which the
+            // engine merges into one word event. Keyed on the toggled
+            // bits first, so every sample that holds its activation
+            // (multiplier silent) packs together too.
+            run_clustered(
+                &mut sim,
+                scratch,
+                cfg.samples_per_weight,
+                |i| (u32::from(acts[i].0), u32::from(acts[i].1)),
+                |i, from, to| {
+                    let ((af, at), (pf, pt)) = (acts[i], psums[i]);
                     hw.mac()
                         .encode_into(code as i64, af as u64, pf as i64, from);
                     hw.mac().encode_into(code as i64, at as u64, pt as i64, to);
-                    for (i, &bit) in from.iter().enumerate() {
-                        from_words[i] |= u64::from(bit) << lane;
-                    }
-                    for (i, &bit) in to.iter().enumerate() {
-                        to_words[i] |= u64::from(bit) << lane;
-                    }
-                }
-                sim.settle(from_words, lanes);
-                let view = sim.transition(to_words);
-                // Fold lane energies straight into the running total:
-                // `total += block_subtotal` would re-associate the f64
-                // sum and drift off the scalar reference.
-                for lane in 0..lanes {
-                    total += view.lane_energy_fj(lane);
-                }
-                base += lanes;
+                },
+                |view, lane, i| sample_energy[i] = view.lane_energy_fj(lane),
+            );
+            // Fold in sample order, one add per sample: this is the
+            // scalar reference's f64 chain, so the mean is bit-identical.
+            let mut total = 0.0f64;
+            for &e in sample_energy.iter() {
+                total += e;
             }
             slot[0] = total / cfg.samples_per_weight as f64 + cfg.baseline_fj_per_cycle;
         },
@@ -523,6 +514,7 @@ fn expand_profile(
 mod tests {
     use super::*;
     use crate::chars::bins::PsumBinning;
+    use crate::chars::blocks::cluster_order;
 
     fn fake_stats() -> (TransitionStats, PsumBinning) {
         let mut stats = TransitionStats::new();
@@ -640,18 +632,39 @@ mod tests {
     #[test]
     fn non_multiple_of_64_sample_counts_stay_identical() {
         // Tail masking: sample budgets below, at and just above the
-        // 64-lane word width must all reproduce the scalar fold.
+        // 64-lane word width must all reproduce the scalar fold. The
+        // second workload puts nearly all weight on three activation
+        // transitions, so clustering moves almost every sample to
+        // another lane and the per-sample fold must undo that.
         let hw = MacHardware::small();
-        let (stats, binning) = fake_stats();
-        for samples in [1, 63, 64, 65, 70, 130] {
-            let cfg = PowerConfig {
-                samples_per_weight: samples,
-                weight_stride: 4,
-                ..quick_cfg()
-            };
-            let bitsim = characterize_power(&hw, &stats, &binning, &cfg);
-            let scalar = characterize_power_scalar(&hw, &stats, &binning, &cfg);
-            assert_eq!(bitsim, scalar, "diverged at {samples} samples");
+        let (spread, binning) = fake_stats();
+        let mut repeated = TransitionStats::new();
+        repeated.record_activation(3, 4, 500);
+        repeated.record_activation(4, 3, 400);
+        repeated.record_activation(0, 15, 300);
+        repeated.record_activation(9, 2, 1);
+        for stats in [&spread, &repeated] {
+            for samples in [1, 63, 64, 65, 70, 130] {
+                let cfg = PowerConfig {
+                    samples_per_weight: samples,
+                    weight_stride: 4,
+                    ..quick_cfg()
+                };
+                let acts = stats.sample_activation_transitions(samples, &mut code_rng(&cfg, 0));
+                let mut order = Vec::new();
+                cluster_order(
+                    samples,
+                    |i| (u32::from(acts[i].0), u32::from(acts[i].1)),
+                    &mut order,
+                );
+                assert!(
+                    samples == 1 || order.iter().enumerate().any(|(i, &s)| s as usize != i),
+                    "cluster permutation is the identity at {samples} samples"
+                );
+                let bitsim = characterize_power(&hw, stats, &binning, &cfg);
+                let scalar = characterize_power_scalar(&hw, stats, &binning, &cfg);
+                assert_eq!(bitsim, scalar, "diverged at {samples} samples");
+            }
         }
     }
 

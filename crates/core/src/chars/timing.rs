@@ -13,6 +13,7 @@
 //! `max_j (dta_arrival[j] + sta_from_product[j])` — Fig. 5 — with the
 //! partial-sum STA path as a weight-independent floor.
 
+use crate::chars::blocks::{run_clustered, BlockScratch};
 use crate::chars::{CharConfigError, MacHardware};
 use gatesim::{BitSim, PrunePlan, Simulator, Sta};
 use rand::rngs::StdRng;
@@ -237,19 +238,11 @@ fn code_rng(cfg: &TimingConfig, code_idx: usize) -> StdRng {
     StdRng::seed_from_u64(cfg.seed ^ ((code_idx as u64) << 10))
 }
 
-/// Folds one measured transition into a weight's profile. `arrival` maps
-/// a product-bit slot to its last-toggle arrival in ps.
-#[allow(clippy::too_many_arguments)]
-fn fold_transition(
-    cfg: &TimingConfig,
-    adder_table: &[f64],
-    arrival: impl Fn(usize) -> f64,
-    from: u32,
-    to: u32,
-    hist: &mut [u64],
-    max_delay: &mut f64,
-    slow: &mut Vec<(u8, u8, f32)>,
-) {
+/// The composed MAC delay of one measured transition (paper Fig. 5,
+/// multiplier side): `max_j (arrival(j) + adder_table[j])` over the
+/// product bits that toggled. `arrival` maps a product-bit slot to its
+/// last-toggle arrival in ps.
+fn composed_delay(adder_table: &[f64], arrival: impl Fn(usize) -> f64) -> f64 {
     let mut composed = 0.0f64;
     for (j, &adder_d) in adder_table.iter().enumerate() {
         let arr = arrival(j);
@@ -257,6 +250,18 @@ fn fold_transition(
             composed = composed.max(arr + adder_d);
         }
     }
+    composed
+}
+
+/// Folds one transition's composed delay into a weight's profile.
+fn fold_composed(
+    cfg: &TimingConfig,
+    composed: f64,
+    (from, to): (u32, u32),
+    hist: &mut [u64],
+    max_delay: &mut f64,
+    slow: &mut Vec<(u8, u8, f32)>,
+) {
     let bucket = (composed.round() as usize).min(hist.len() - 1);
     hist[bucket] += 1;
     if composed > *max_delay {
@@ -294,9 +299,13 @@ fn transition_pairs(cfg: &TimingConfig, levels: u32, code_idx: usize) -> Vec<(u3
 /// bit-parallel [`BitSim`] engine, 64 activation transitions per
 /// simulated word, under a per-code [`PrunePlan`] that pins the held
 /// weight bus — the weight's desensitized cone is proven silent and
-/// skipped. Lanes are folded in pair order, so the histogram, the
-/// `slow` list and `max_delay_ps` are bit-identical to the unpruned
-/// scalar reference (asserted in the test suite).
+/// skipped. Blocks are clustered by activation transition (toggled
+/// bits, then start value), so lanes that toggle the same activation
+/// bits share word events. Each lane's
+/// composed delay is stored at its pair's index, and the histogram,
+/// the `slow` list and `max_delay_ps` are then folded in pair order,
+/// bit-identical to the unpruned scalar reference (asserted in the
+/// test suite).
 ///
 /// # Panics
 ///
@@ -337,21 +346,13 @@ pub fn characterize_timing_with_threads(
         .collect();
     let product_nets = hw.mult_netlist().outputs().to_vec();
     let adder_table = &adder_from_product_ps;
-    let input_count = hw.mult_netlist().inputs().len();
 
     parallel::par_rows_mut_with_threads(
         threads.unwrap_or_else(parallel::max_threads),
         &mut per_weight,
         1,
-        || {
-            (
-                Vec::new(),
-                Vec::new(),
-                vec![0u64; input_count],
-                vec![0u64; input_count],
-            )
-        },
-        |(from_buf, to_buf, from_words, to_words), idx, slot| {
+        || (BlockScratch::default(), Vec::new()),
+        |(scratch, pair_delay), idx, slot| {
             let code = slot[0].code;
             // Per-code engine with the weight bus pinned: the prune
             // plan proves the weight's dead multiplier cone silent, so
@@ -361,38 +362,30 @@ pub fn characterize_timing_with_threads(
             let plan = PrunePlan::new(hw.mult_netlist(), hw.lib(), &hw.mult_weight_pins(code));
             let mut sim = BitSim::with_plan(hw.mult_netlist(), hw.lib(), &plan);
             sim.observe(&product_nets);
+            let pairs = transition_pairs(cfg, levels, idx);
+            pair_delay.resize(pairs.len(), 0.0);
+            run_clustered(
+                &mut sim,
+                scratch,
+                pairs.len(),
+                |i| pairs[i],
+                |i, from, to| {
+                    let (af, at) = pairs[i];
+                    hw.encode_mult_into(code as i64, u64::from(af), from);
+                    hw.encode_mult_into(code as i64, u64::from(at), to);
+                },
+                |view, lane, i| {
+                    pair_delay[i] =
+                        composed_delay(adder_table, |j| view.observed_arrival_ps(j, lane));
+                },
+            );
+            // Fold in pair order: the histogram, `max_delay_ps` and the
+            // `slow` list come out exactly as the scalar reference's.
             let mut hist = vec![0u64; 512];
             let mut max_delay = 0.0f64;
             let mut slow = Vec::new();
-            // Blocks of up to 64 pairs, one bit-lane each; the final
-            // partial block relies on the engine's tail masking.
-            for block in transition_pairs(cfg, levels, idx).chunks(64) {
-                from_words.fill(0);
-                to_words.fill(0);
-                for (lane, &(from, to)) in block.iter().enumerate() {
-                    hw.encode_mult_into(code as i64, u64::from(from), from_buf);
-                    hw.encode_mult_into(code as i64, u64::from(to), to_buf);
-                    for (i, &bit) in from_buf.iter().enumerate() {
-                        from_words[i] |= u64::from(bit) << lane;
-                    }
-                    for (i, &bit) in to_buf.iter().enumerate() {
-                        to_words[i] |= u64::from(bit) << lane;
-                    }
-                }
-                sim.settle(from_words, block.len());
-                let view = sim.transition(to_words);
-                for (lane, &(from, to)) in block.iter().enumerate() {
-                    fold_transition(
-                        cfg,
-                        adder_table,
-                        |j| view.observed_arrival_ps(j, lane),
-                        from,
-                        to,
-                        &mut hist,
-                        &mut max_delay,
-                        &mut slow,
-                    );
-                }
+            for (&pair, &composed) in pairs.iter().zip(pair_delay.iter()) {
+                fold_composed(cfg, composed, pair, &mut hist, &mut max_delay, &mut slow);
             }
             slot[0].histogram = hist;
             slot[0].max_delay_ps = max_delay;
@@ -456,12 +449,11 @@ pub fn characterize_timing_scalar(hw: &MacHardware, cfg: &TimingConfig) -> Weigh
             for (from, to) in transition_pairs(cfg, levels, idx) {
                 sim.settle(&hw.encode_mult(code as i64, u64::from(from)));
                 let stats = sim.transition(&hw.encode_mult(code as i64, u64::from(to)));
-                fold_transition(
+                let composed = composed_delay(adder_table, |j| stats.observed_arrival_ps(j));
+                fold_composed(
                     cfg,
-                    adder_table,
-                    |j| stats.observed_arrival_ps(j),
-                    from,
-                    to,
+                    composed,
+                    (from, to),
                     &mut hist,
                     &mut max_delay,
                     &mut slow,
@@ -610,6 +602,7 @@ pub fn compose_delay(arrivals: &[f64], adder: &[f64], psum_delay: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chars::blocks::cluster_order;
 
     fn quick_cfg() -> TimingConfig {
         TimingConfig {
@@ -658,10 +651,18 @@ mod tests {
     fn batched_profile_matches_scalar_reference() {
         // 64-lane BitSim blocks, partial tail blocks included, must fold
         // to the scalar reference bit-for-bit: histogram, slow list
-        // order and max delay.
+        // order and max delay. With `slow_floor_ps = 0` (quick_cfg)
+        // every sensitized pair lands in `slow`, so the clustered
+        // blocks' results must come back in exact pair order.
         let hw = MacHardware::small();
         for cfg in [
             quick_cfg(),
+            TimingConfig {
+                exhaustive: false,
+                samples: 200,
+                seed: 5,
+                ..quick_cfg()
+            },
             TimingConfig {
                 exhaustive: false,
                 samples: 128,
@@ -670,8 +671,19 @@ mod tests {
                 ..quick_cfg()
             },
         ] {
+            let pairs = transition_pairs(&cfg, hw.act_levels() as u32, 0);
+            let mut order = Vec::new();
+            cluster_order(pairs.len(), |i| pairs[i], &mut order);
+            assert!(
+                order.iter().enumerate().any(|(i, &s)| s as usize != i),
+                "cluster permutation is the identity"
+            );
             let batched = characterize_timing(&hw, &cfg);
             let scalar = characterize_timing_scalar(&hw, &cfg);
+            if cfg.slow_floor_ps == 0.0 {
+                let slow: usize = batched.per_weight.iter().map(|t| t.slow.len()).sum();
+                assert!(slow > pairs.len(), "floor 0 should keep most pairs");
+            }
             assert_eq!(batched, scalar);
         }
     }

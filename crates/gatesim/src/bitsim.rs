@@ -24,6 +24,16 @@
 //! `powerpruning::chars::characterize_power` and
 //! `powerpruning::chars::characterize_timing`).
 //!
+//! Callers may permute samples across lanes and blocks freely: a
+//! lane's results depend only on that lane's own stimulus (see *Exact
+//! equivalence, per lane* below), so only the order in which a caller
+//! folds per-sample results can change its output. Both
+//! characterizations use this to cluster blocks: samples whose inputs
+//! switch alike share a block, their lanes often toggle the same nets
+//! at the same times, and one word event then carries many lanes
+//! instead of one. `gatesim_lane_toggles_total ÷ gatesim_events_scheduled_total`
+//! measures that sharing (see [`crate::counters`]).
+//!
 //! # Tail masking
 //!
 //! The last block of a sample stream rarely fills all 64 lanes.
@@ -282,8 +292,8 @@ impl BitTransitionView<'_> {
     }
 
     /// Sum of switching energies over the active lanes, folded in lane
-    /// order — the fold `characterize_power` chains across blocks to
-    /// reproduce the scalar per-sample sum exactly.
+    /// order — the scalar simulator's sum over the same vectors, run in
+    /// lane order.
     #[must_use]
     pub fn total_energy_fj(&self) -> f64 {
         let mut total = 0.0;
@@ -645,6 +655,8 @@ impl<'a> BitSim<'a> {
         // filtering; kept in a local and flushed to the registry once
         // per transition so the hot loop stays atomic-free.
         let mut filtered: u64 = 0;
+        // Lanes toggled by popped gate events, flushed the same way.
+        let mut lane_toggle_total: u64 = 0;
 
         // Split borrows once so the event loop indexes plain slices.
         let BitSim {
@@ -718,6 +730,7 @@ impl<'a> BitSim<'a> {
             debug_assert_ne!(toggle, 0);
             value[net] = ev.value;
             net_toggled[net] = true;
+            lane_toggle_total += u64::from(toggle.count_ones());
             let e = net_energy_fj[net];
             let mut m = toggle;
             while m != 0 {
@@ -772,6 +785,7 @@ impl<'a> BitSim<'a> {
         }
 
         crate::counters::record_events(u64::from(seq), filtered);
+        crate::counters::record_lane_toggles(lane_toggle_total);
     }
 }
 

@@ -33,6 +33,16 @@
 //! to 64 vectors' toggles, so `events_scheduled / transitions` falls by
 //! design when work moves onto the bit-parallel engine.
 //!
+//! Word-event fragmentation is measured by one more `BitSim`-only
+//! total, `gatesim_lane_toggles_total`: the lanes toggled by every
+//! popped gate event (input edges excluded). Every popped `BitSim`
+//! event toggles at least one lane and every scheduled one is popped,
+//! so over a window of `BitSim` work, lane toggles ÷ `events_scheduled`
+//! is the mean number of lanes per word event: 64 would be a perfectly
+//! shared block, 1 a block whose lanes never glitch together. Like the
+//! event totals it is tallied in a local and flushed once per
+//! transition, so the power hot loop gains no per-event atomic.
+//!
 //! The settle-time histogram gets one observation per *timing* sample:
 //! the scalar engine records every transition's settle time, while
 //! `BitSim` records one per active lane only while nets are observed
@@ -52,6 +62,7 @@ struct Registry {
     transitions: Counter,
     events_scheduled: Counter,
     events_filtered: Counter,
+    lane_toggles: Counter,
     settle_ps: Histogram,
     gates_pruned: Counter,
     prune_plan_seconds: Histogram,
@@ -61,6 +72,7 @@ static REGISTRY: LazyLock<Registry> = LazyLock::new(|| Registry {
     transitions: counter("gatesim_sim_transitions_total"),
     events_scheduled: counter("gatesim_events_scheduled_total"),
     events_filtered: counter("gatesim_events_filtered_total"),
+    lane_toggles: counter("gatesim_lane_toggles_total"),
     settle_ps: histogram("gatesim_settle_time_ps", SETTLE_PS),
     gates_pruned: counter("gatesim_gates_pruned_total"),
     prune_plan_seconds: histogram("gatesim_prune_plan_seconds", LATENCY_SECONDS),
@@ -102,6 +114,13 @@ pub(crate) fn record_transitions(n: u64) {
 pub(crate) fn record_events(scheduled: u64, filtered: u64) {
     REGISTRY.events_scheduled.add(scheduled);
     REGISTRY.events_filtered.add(filtered);
+}
+
+/// Records the lanes one `BitSim` transition's popped gate events
+/// toggled, summed over its events (crate-internal).
+#[inline]
+pub(crate) fn record_lane_toggles(lanes: u64) {
+    REGISTRY.lane_toggles.add(lanes);
 }
 
 /// Records a transition's settle time (last primary-output toggle) in
