@@ -18,7 +18,8 @@
 //! pool, against their scalar references. Each also reports its
 //! word-event fragmentation from the `gatesim_*` counters:
 //! `word_events_per_sample` (deterministic, gated by CI) and
-//! `lanes_per_word_event` (how many lanes one word event serves). The
+//! `lanes_per_word_event` (how many lanes one word event serves), with
+//! the `transitions` both engines counted, which must match. The
 //! `obs_overhead` block guards the observability layer: the same
 //! bit-parallel hot loop with the `obs` metrics registry live vs
 //! disabled must stay within 2% of each other.
@@ -122,6 +123,24 @@ impl EventCounts {
     fn lanes_per_word_event(&self) -> f64 {
         self.lane_toggles as f64 / self.scheduled.max(1) as f64
     }
+
+    /// Panics unless the counters saw the run: a transition for every
+    /// stimulus the scalar reference simulated, and at least one lane
+    /// per word event. A renamed counter or a disabled registry reads 0
+    /// and would otherwise pass any ceiling.
+    fn assert_measured(&self, block: &str, scalar_transitions: u64) {
+        assert!(
+            self.transitions > 0 && self.transitions == scalar_transitions,
+            "{block}: counted {} BitSim transitions, {scalar_transitions} scalar",
+            self.transitions
+        );
+        assert!(
+            self.lanes_per_word_event() >= 1.0,
+            "{block}: {} lane toggles over {} word events",
+            self.lane_toggles,
+            self.scheduled
+        );
+    }
 }
 
 /// One production path against its scalar reference: the bit-parallel
@@ -132,6 +151,8 @@ struct BitMeasurement {
     bitsim_s: f64,
     scalar_s: f64,
     events: EventCounts,
+    /// Transitions the scalar reference simulated over the same stimuli.
+    scalar_transitions: u64,
     identical: bool,
 }
 
@@ -147,6 +168,7 @@ impl BitMeasurement {
                 "\"bitsim_s\": {:.3}, \"scalar_s\": {:.3}, ",
                 "\"bitsim_samples_per_s\": {:.1}, \"scalar_samples_per_s\": {:.1}, ",
                 "\"speedup_over_scalar\": {:.3}, ",
+                "\"transitions\": {}, \"scalar_transitions\": {}, ",
                 "\"word_events_per_sample\": {:.3}, \"lanes_per_word_event\": {:.3}, ",
                 "\"identical\": {}}}"
             ),
@@ -156,6 +178,8 @@ impl BitMeasurement {
             self.samples as f64 / self.bitsim_s,
             self.samples as f64 / self.scalar_s,
             self.speedup_over_scalar(),
+            self.events.transitions,
+            self.scalar_transitions,
             self.events.word_events_per_sample(),
             self.events.lanes_per_word_event(),
             self.identical,
@@ -621,13 +645,15 @@ fn main() {
         EventCounts::around(|| characterize_power(&hw, &stats, &binning, &power_cfg));
     let bitsim_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let scalar = characterize_power_scalar(&hw, &stats, &binning, &power_cfg);
+    let (scalar, scalar_events) =
+        EventCounts::around(|| characterize_power_scalar(&hw, &stats, &binning, &power_cfg));
     let scalar_s = t.elapsed().as_secs_f64();
     let power_bitsim = BitMeasurement {
         samples: codes * power_samples,
         bitsim_s,
         scalar_s,
         events: power_events,
+        scalar_transitions: scalar_events.transitions,
         identical: bitsim == scalar,
     };
     eprintln!(
@@ -671,13 +697,15 @@ fn main() {
     let (bitsim_t, timing_events) = EventCounts::around(|| characterize_timing(&hw, &timing_cfg));
     let bitsim_ts = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let scalar_t = characterize_timing_scalar(&hw, &timing_cfg);
+    let (scalar_t, scalar_t_events) =
+        EventCounts::around(|| characterize_timing_scalar(&hw, &timing_cfg));
     let scalar_ts = t.elapsed().as_secs_f64();
     let timing_bitsim = BitMeasurement {
         samples: codes * timing_samples,
         bitsim_s: bitsim_ts,
         scalar_s: scalar_ts,
         events: timing_events,
+        scalar_transitions: scalar_t_events.transitions,
         identical: bitsim_t == scalar_t,
     };
     eprintln!(
@@ -760,6 +788,12 @@ fn main() {
         power_bitsim.identical,
         "bit-parallel power profile diverged from scalar"
     );
+    power_bitsim
+        .events
+        .assert_measured("power_bitsim", power_bitsim.scalar_transitions);
+    timing_bitsim
+        .events
+        .assert_measured("timing_bitsim", timing_bitsim.scalar_transitions);
     // Lane amortization is bounded by word-event fragmentation (lanes
     // glitch at different times); gate on a conservative floor so
     // loaded CI machines don't flake.

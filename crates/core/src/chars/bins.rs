@@ -51,9 +51,6 @@ impl PsumBinning {
         let mut values: Vec<i32> = samples.iter().flat_map(|&(a, b)| [a, b]).collect();
         values.sort_unstable();
         values.dedup();
-        // Sampled psums repeat heavily; return the duplicates' memory
-        // before the bins and lookup table are built.
-        values.shrink_to_fit();
         let num_bins = num_bins.min(values.len());
 
         // Seed each bin with a random distinct value.
@@ -75,29 +72,23 @@ impl PsumBinning {
             })
             .collect();
         let mut sizes: Vec<u64> = vec![1; num_bins];
-        // Set bits over all members per bin: the cost of an all-zero value.
-        let mut totals: Vec<u64> = ones.iter().map(|o| o.iter().sum()).collect();
 
         for &v in &shuffled[num_bins..] {
             let p = to_pattern(v, bits);
             let mut best = 0usize;
             let mut best_cost = f64::INFINITY;
             for (b, o) in ones.iter().enumerate() {
-                // Hamming sum to the bin's members: `totals[b]` counts
-                // every member one bit, and each one bit of `v` flips its
-                // column from `count` to `size - count`. Summed in u64
-                // and divided once: the sum is an integer far below
-                // 2^53, so this is the f64 a running f64 sum over all
-                // bits gives, ties included. No step underflows, as the
-                // running sum still holds the `count` being flipped.
-                let size = sizes[b];
-                let mut cost = totals[b];
-                let mut m = p;
-                while m != 0 {
-                    cost = cost + size - 2 * o[m.trailing_zeros() as usize];
-                    m &= m - 1;
+                let n = sizes[b] as f64;
+                let mut cost = 0.0;
+                for (bit, &count) in o.iter().enumerate() {
+                    let is_one = (p >> bit) & 1 == 1;
+                    cost += if is_one {
+                        (sizes[b] - count) as f64
+                    } else {
+                        count as f64
+                    };
                 }
-                let cost = cost as f64 / size as f64;
+                cost /= n;
                 if cost < best_cost {
                     best_cost = cost;
                     best = b;
@@ -105,7 +96,6 @@ impl PsumBinning {
             }
             bins[best].push(v);
             sizes[best] += 1;
-            totals[best] += u64::from(p.count_ones());
             for (bit, slot) in ones[best].iter_mut().enumerate() {
                 *slot += u64::from((p >> bit) & 1);
             }
@@ -114,28 +104,19 @@ impl PsumBinning {
             b.sort_unstable();
         }
 
-        // Every sampled value was binned, so its bin is its home bin:
-        // a bin index per entry of the sorted `values` answers with one
-        // binary search what `bin_of` finds by scanning every bin.
-        drop(shuffled);
-        let mut value_bin = vec![0u32; values.len()];
-        for (b, members) in bins.iter().enumerate() {
-            for v in members {
-                value_bin[values.binary_search(v).expect("binned value")] = b as u32;
-            }
-        }
-        let home_bin =
-            |v: i32| value_bin[values.binary_search(&v).expect("sampled value")] as usize;
-        let mut counts = vec![0; num_bins * num_bins];
-        for &(from, to) in samples {
-            counts[home_bin(from) * num_bins + home_bin(to)] += 1;
-        }
-        PsumBinning {
+        let mut binning = PsumBinning {
             bits,
             bins,
-            counts,
-            total: samples.len() as u64,
+            counts: vec![0; num_bins * num_bins],
+            total: 0,
+        };
+        for &(from, to) in samples {
+            let bf = binning.bin_of(from);
+            let bt = binning.bin_of(to);
+            binning.counts[bf * num_bins + bt] += 1;
+            binning.total += 1;
         }
+        binning
     }
 
     /// Number of bins.
@@ -387,90 +368,6 @@ mod tests {
     #[should_panic(expected = "need partial-sum samples")]
     fn empty_samples_rejected() {
         let _ = PsumBinning::from_samples(&[], 10, 22, 0);
-    }
-
-    /// The bin assignment as first written: an `f64` running cost per
-    /// candidate bin. The fast path must reproduce it member for member.
-    fn reference_bins(
-        samples: &[(i32, i32)],
-        num_bins: usize,
-        bits: usize,
-        seed: u64,
-    ) -> Vec<Vec<i32>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut values: Vec<i32> = samples.iter().flat_map(|&(a, b)| [a, b]).collect();
-        values.sort_unstable();
-        values.dedup();
-        let num_bins = num_bins.min(values.len());
-        values.shuffle(&mut rng);
-        let mut bins: Vec<Vec<i32>> = values[..num_bins].iter().map(|&v| vec![v]).collect();
-        for &v in &values[num_bins..] {
-            let p = to_pattern(v, bits);
-            let mut best = (f64::INFINITY, 0);
-            for (b, members) in bins.iter().enumerate() {
-                let mut cost = 0.0;
-                for bit in 0..bits {
-                    let ones = members
-                        .iter()
-                        .filter(|&&m| (to_pattern(m, bits) >> bit) & 1 == 1)
-                        .count();
-                    let differ = if (p >> bit) & 1 == 1 {
-                        members.len() - ones
-                    } else {
-                        ones
-                    };
-                    cost += differ as f64;
-                }
-                cost /= members.len() as f64;
-                if cost < best.0 {
-                    best = (cost, b);
-                }
-            }
-            bins[best.1].push(v);
-        }
-        for b in &mut bins {
-            b.sort_unstable();
-        }
-        bins
-    }
-
-    #[test]
-    fn fast_binning_matches_reference_and_bin_of_recount() {
-        let mut x: u64 = 7;
-        let mut next = |range: u64| {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) % range
-        };
-        for (len, spread, num_bins, bits) in [
-            (1, 5, 3, 8),
-            (40, 12, 50, 12),
-            (600, 300, 20, 12),
-            (900, 4000, 50, 22),
-        ] {
-            // Small spreads force duplicate values (and, for the first
-            // two cases, more bins than distinct values); every value is
-            // centred on zero, so half are negative.
-            let half = spread as i64 / 2;
-            let samples: Vec<(i32, i32)> = (0..len)
-                .map(|_| {
-                    let a = next(spread) as i64 - half;
-                    let b = next(spread) as i64 - half;
-                    (a as i32, b as i32)
-                })
-                .collect();
-            let binning = PsumBinning::from_samples(&samples, num_bins, bits, 11);
-            let expected = reference_bins(&samples, num_bins, bits, 11);
-            assert_eq!(binning.bins, expected, "bins moved at {len} samples");
-            let nb = binning.num_bins();
-            let mut recount = vec![0u64; nb * nb];
-            for &(from, to) in &samples {
-                recount[binning.bin_of(from) * nb + binning.bin_of(to)] += 1;
-            }
-            assert_eq!(binning.transition_counts(), recount.as_slice());
-            assert_eq!(binning.total, len as u64);
-        }
     }
 
     #[test]

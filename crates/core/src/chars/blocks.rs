@@ -25,36 +25,46 @@ pub(crate) struct BlockScratch {
     to_words: Vec<u64>,
 }
 
-/// The cluster key of an input transition `from → to` on one bus: the
-/// toggled bits, then the start value. Stimuli with equal keys apply
-/// identical input edges; stimuli with equal toggled bits at least edge
-/// the same input nets. The toggled bits sort by their rank in the
-/// reflected Gray sequence, so neighbouring groups differ in one
-/// toggled bit and a block spanning two groups still shares most edges.
-fn transition_key(from: u32, to: u32) -> (u32, u32) {
+/// The cluster key of sample `index`, whose bus makes the transition
+/// `from → to`: the toggled bits, then the start value, then the index,
+/// packed into one `u64` so the sort compares plain integers instead of
+/// recomputing keys. Stimuli with equal toggled bits and start value
+/// apply identical input edges; stimuli with equal toggled bits at least
+/// edge the same input nets. The toggled bits sort by their rank in the
+/// reflected Gray sequence, so neighbouring groups differ in one toggled
+/// bit and a block spanning two groups still shares most edges.
+fn cluster_key(from: u32, to: u32, index: u32) -> u64 {
+    assert!(from | to < 1 << 16, "clustered bus wider than 16 bits");
     let mut rank = from ^ to;
     let mut shift = rank >> 1;
     while shift != 0 {
         rank ^= shift;
         shift >>= 1;
     }
-    (rank, from)
+    u64::from(rank) << 48 | u64::from(from) << 32 | u64::from(index)
 }
 
 /// Fills `order` with the sample indices `0 .. count` sorted by the
-/// [`transition_key`] of each sample's clustered bus transition
+/// [`cluster_key`] of each sample's clustered bus transition
 /// `transition(i)`, ties kept in index order (a stable permutation).
+///
+/// # Panics
+///
+/// Panics if a transition value does not fit in 16 bits.
 pub(crate) fn cluster_order(
     count: usize,
     transition: impl Fn(usize) -> (u32, u32),
     order: &mut Vec<u32>,
 ) {
+    let mut keys: Vec<u64> = (0..count as u32)
+        .map(|i| {
+            let (from, to) = transition(i as usize);
+            cluster_key(from, to, i)
+        })
+        .collect();
+    keys.sort_unstable();
     order.clear();
-    order.extend(0..count as u32);
-    order.sort_unstable_by_key(|&i| {
-        let (from, to) = transition(i as usize);
-        (transition_key(from, to), i)
-    });
+    order.extend(keys.iter().map(|&key| key as u32));
 }
 
 /// Simulates `count` stimuli on `sim` in blocks of up to 64 lanes,
@@ -99,6 +109,39 @@ pub(crate) fn run_clustered(
         let view = sim.transition(to_words);
         for (lane, &sample) in block.iter().enumerate() {
             scatter(&view, lane, sample as usize);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn cluster_order_is_a_stable_sort_by_gray_rank_then_start() {
+        let gray_rank = |mut g: u32| {
+            let mut shift = g >> 1;
+            while shift != 0 {
+                g ^= shift;
+                shift >>= 1;
+            }
+            g
+        };
+        let mut rng = StdRng::seed_from_u64(7);
+        for (count, levels) in [(0, 4), (1, 4), (300, 4), (5000, 256), (700, 1 << 16)] {
+            let pairs: Vec<(u32, u32)> = (0..count)
+                .map(|_| (rng.random_range(0..levels), rng.random_range(0..levels)))
+                .collect();
+            let mut order = Vec::new();
+            cluster_order(count, |i| pairs[i], &mut order);
+            let mut expected: Vec<u32> = (0..count as u32).collect();
+            expected.sort_by_key(|&i| {
+                let (from, to) = pairs[i as usize];
+                (gray_rank(from ^ to), from)
+            });
+            assert_eq!(order, expected, "{count} samples over {levels} levels");
         }
     }
 }
