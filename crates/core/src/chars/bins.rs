@@ -32,6 +32,25 @@ fn to_pattern(value: i32, bits: usize) -> u32 {
     (value as u32) & ((1u32 << bits) - 1)
 }
 
+/// Calls `f` with the index of every set bit of `p`, lowest first.
+fn for_each_set_bit(mut p: u32, mut f: impl FnMut(usize)) {
+    while p != 0 {
+        f(p.trailing_zeros() as usize);
+        p &= p - 1;
+    }
+}
+
+/// The summed Hamming distance from pattern `p` to the `size` members
+/// of a bin with per-bit one counts `ones` (summing to `ones_total`):
+/// each member costs one per bit where it differs from `p`.
+fn hamming_sum(ones: &[u64], ones_total: u64, size: u64, p: u32) -> u64 {
+    // Set bits of `p` cost `size - ones[bit]`, clear bits `ones[bit]`:
+    // Σ_set (size - ones) + (ones_total - Σ_set ones).
+    let mut set_ones = 0u64;
+    for_each_set_bit(p, |bit| set_ones += ones[bit]);
+    u64::from(p.count_ones()) * size + ones_total - 2 * set_ones
+}
+
 impl PsumBinning {
     /// Builds a binning from sampled partial-sum transitions.
     ///
@@ -58,37 +77,27 @@ impl PsumBinning {
         shuffled.shuffle(&mut rng);
         let mut bins: Vec<Vec<i32>> = shuffled[..num_bins].iter().map(|&v| vec![v]).collect();
 
-        // Per-bin, per-bit population counters for O(bits) average
-        // Hamming distance queries.
-        let mut ones: Vec<Vec<u64>> = bins
-            .iter()
-            .map(|b| {
-                let mut o = vec![0u64; bits];
-                let p = to_pattern(b[0], bits);
-                for (bit, slot) in o.iter_mut().enumerate() {
-                    *slot += u64::from((p >> bit) & 1);
-                }
-                o
-            })
-            .collect();
+        // Per-bin, per-bit population counters (and their sum) for
+        // O(set bits) average Hamming distance queries.
+        let mut ones: Vec<Vec<u64>> = vec![vec![0u64; bits]; num_bins];
+        let mut ones_total: Vec<u64> = vec![0; num_bins];
         let mut sizes: Vec<u64> = vec![1; num_bins];
+        let add = |ones: &mut [u64], total: &mut u64, p: u32| {
+            for_each_set_bit(p, |bit| ones[bit] += 1);
+            *total += u64::from(p.count_ones());
+        };
+        for (b, bin) in bins.iter().enumerate() {
+            add(&mut ones[b], &mut ones_total[b], to_pattern(bin[0], bits));
+        }
 
         for &v in &shuffled[num_bins..] {
             let p = to_pattern(v, bits);
             let mut best = 0usize;
             let mut best_cost = f64::INFINITY;
             for (b, o) in ones.iter().enumerate() {
-                let n = sizes[b] as f64;
-                let mut cost = 0.0;
-                for (bit, &count) in o.iter().enumerate() {
-                    let is_one = (p >> bit) & 1 == 1;
-                    cost += if is_one {
-                        (sizes[b] - count) as f64
-                    } else {
-                        count as f64
-                    };
-                }
-                cost /= n;
+                // The summed distance is an integer; dividing it once
+                // gives the same f64 as summing per-bit terms in f64.
+                let cost = hamming_sum(o, ones_total[b], sizes[b], p) as f64 / sizes[b] as f64;
                 if cost < best_cost {
                     best_cost = cost;
                     best = b;
@@ -96,27 +105,29 @@ impl PsumBinning {
             }
             bins[best].push(v);
             sizes[best] += 1;
-            for (bit, slot) in ones[best].iter_mut().enumerate() {
-                *slot += u64::from((p >> bit) & 1);
-            }
-        }
-        for b in &mut bins {
-            b.sort_unstable();
+            add(&mut ones[best], &mut ones_total[best], p);
         }
 
-        let mut binning = PsumBinning {
+        // Every sampled value is one of `values`: look its bin up by
+        // binary search instead of scanning the bins.
+        let mut bin_of_value = vec![0usize; values.len()];
+        for (b, members) in bins.iter_mut().enumerate() {
+            members.sort_unstable();
+            for v in members.iter() {
+                bin_of_value[values.binary_search(v).expect("binned value observed")] = b;
+            }
+        }
+        let home = |v: i32| bin_of_value[values.binary_search(&v).expect("sampled value binned")];
+        let mut counts = vec![0; num_bins * num_bins];
+        for &(from, to) in samples {
+            counts[home(from) * num_bins + home(to)] += 1;
+        }
+        PsumBinning {
             bits,
             bins,
-            counts: vec![0; num_bins * num_bins],
-            total: 0,
-        };
-        for &(from, to) in samples {
-            let bf = binning.bin_of(from);
-            let bt = binning.bin_of(to);
-            binning.counts[bf * num_bins + bt] += 1;
-            binning.total += 1;
+            counts,
+            total: samples.len() as u64,
         }
-        binning
     }
 
     /// Number of bins.
@@ -293,6 +304,144 @@ mod tests {
                 (a, b)
             })
             .collect()
+    }
+
+    /// The straightforward binning: per-bit `f64` cost sums and a
+    /// `bin_of` scan per sampled value. `from_samples` must match it
+    /// exactly.
+    fn reference_from_samples(
+        samples: &[(i32, i32)],
+        num_bins: usize,
+        bits: usize,
+        seed: u64,
+    ) -> PsumBinning {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut values: Vec<i32> = samples.iter().flat_map(|&(a, b)| [a, b]).collect();
+        values.sort_unstable();
+        values.dedup();
+        let num_bins = num_bins.min(values.len());
+        let mut shuffled = values.clone();
+        shuffled.shuffle(&mut rng);
+        let mut bins: Vec<Vec<i32>> = shuffled[..num_bins].iter().map(|&v| vec![v]).collect();
+        let mut ones: Vec<Vec<u64>> = bins
+            .iter()
+            .map(|b| {
+                let p = to_pattern(b[0], bits);
+                (0..bits).map(|bit| u64::from((p >> bit) & 1)).collect()
+            })
+            .collect();
+        let mut sizes: Vec<u64> = vec![1; num_bins];
+        for &v in &shuffled[num_bins..] {
+            let p = to_pattern(v, bits);
+            let mut best = 0usize;
+            let mut best_cost = f64::INFINITY;
+            for (b, o) in ones.iter().enumerate() {
+                let mut cost = 0.0;
+                for (bit, &count) in o.iter().enumerate() {
+                    cost += if (p >> bit) & 1 == 1 {
+                        (sizes[b] - count) as f64
+                    } else {
+                        count as f64
+                    };
+                }
+                cost /= sizes[b] as f64;
+                if cost < best_cost {
+                    best_cost = cost;
+                    best = b;
+                }
+            }
+            bins[best].push(v);
+            sizes[best] += 1;
+            for (bit, slot) in ones[best].iter_mut().enumerate() {
+                *slot += u64::from((p >> bit) & 1);
+            }
+        }
+        for b in &mut bins {
+            b.sort_unstable();
+        }
+        let mut binning = PsumBinning {
+            bits,
+            bins,
+            counts: vec![0; num_bins * num_bins],
+            total: 0,
+        };
+        for &(from, to) in samples {
+            let (bf, bt) = (binning.bin_of(from), binning.bin_of(to));
+            binning.counts[bf * num_bins + bt] += 1;
+            binning.total += 1;
+        }
+        binning
+    }
+
+    /// Random transitions drawn from a pool of `distinct` values, so
+    /// values repeat and bin pairs collect real counts.
+    fn random_samples(n: usize, distinct: usize, seed: u64) -> Vec<(i32, i32)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<i32> = (0..distinct)
+            .map(|_| rng.random_range(-(1 << 21)..(1 << 21)))
+            .collect();
+        (0..n)
+            .map(|_| {
+                (
+                    pool[rng.random_range(0..distinct)],
+                    pool[rng.random_range(0..distinct)],
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fast_binning_matches_the_reference() {
+        for (n, distinct, num_bins, seed) in [
+            (2000, 300, 50, 1),
+            (5000, 4000, 50, 2),
+            (800, 40, 10, 3),
+            (300, 7, 50, 4),
+        ] {
+            let samples = random_samples(n, distinct, seed);
+            let fast = PsumBinning::from_samples(&samples, num_bins, 22, seed);
+            let reference = reference_from_samples(&samples, num_bins, 22, seed);
+            assert_eq!(fast, reference, "n={n} distinct={distinct} bins={num_bins}");
+        }
+        let samples = sample_data();
+        assert_eq!(
+            PsumBinning::from_samples(&samples, 50, 22, 1),
+            reference_from_samples(&samples, 50, 22, 1)
+        );
+    }
+
+    #[test]
+    fn transition_counts_match_a_bin_of_recount() {
+        let samples = random_samples(4000, 500, 11);
+        let binning = PsumBinning::from_samples(&samples, 50, 22, 12);
+        let nb = binning.num_bins();
+        let mut recount = vec![0u64; nb * nb];
+        for &(from, to) in &samples {
+            recount[binning.bin_of(from) * nb + binning.bin_of(to)] += 1;
+        }
+        assert_eq!(binning.transition_counts(), recount.as_slice());
+        assert_eq!(recount.iter().sum::<u64>(), samples.len() as u64);
+    }
+
+    #[test]
+    fn integer_hamming_sum_matches_per_bit_sum() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for _ in 0..200 {
+            let size = rng.random_range(1..1000u64);
+            let ones: Vec<u64> = (0..22).map(|_| rng.random_range(0..=size)).collect();
+            let total = ones.iter().sum();
+            let p = to_pattern(rng.random_range(-(1 << 21)..(1 << 21)), 22);
+            let per_bit: u64 = (0..22)
+                .map(|bit| {
+                    if (p >> bit) & 1 == 1 {
+                        size - ones[bit]
+                    } else {
+                        ones[bit]
+                    }
+                })
+                .sum();
+            assert_eq!(hamming_sum(&ones, total, size, p), per_bit);
+        }
     }
 
     #[test]

@@ -396,7 +396,7 @@ pub fn characterize_timing_with_threads(
     expand_timing(
         &all_codes,
         &codes,
-        &per_weight,
+        per_weight,
         psum_floor_ps,
         adder_from_product_ps,
         cfg,
@@ -468,7 +468,7 @@ pub fn characterize_timing_scalar(hw: &MacHardware, cfg: &TimingConfig) -> Weigh
     expand_timing(
         &all_codes,
         &codes,
-        &per_weight,
+        per_weight,
         psum_floor_ps,
         adder_from_product_ps,
         cfg,
@@ -481,12 +481,33 @@ pub fn characterize_timing_scalar(hw: &MacHardware, cfg: &TimingConfig) -> Weigh
 fn expand_timing(
     all_codes: &[i32],
     codes: &[i32],
-    per_weight: &[WeightTiming],
+    per_weight: Vec<WeightTiming>,
     psum_floor_ps: f64,
     adder_from_product_ps: Vec<f64>,
     cfg: &TimingConfig,
 ) -> WeightTimingProfile {
-    let expanded: Vec<WeightTiming> = all_codes
+    // Unstrided, `codes` is `all_codes` and every profile is its own:
+    // keep them rather than clone each histogram.
+    let expanded: Vec<WeightTiming> = if codes.len() == all_codes.len() {
+        per_weight
+    } else {
+        expand_strided(all_codes, codes, &per_weight)
+    };
+
+    WeightTimingProfile {
+        per_weight: expanded,
+        psum_floor_ps,
+        adder_from_product_ps,
+        slow_floor_ps: cfg.slow_floor_ps,
+    }
+}
+
+fn expand_strided(
+    all_codes: &[i32],
+    codes: &[i32],
+    per_weight: &[WeightTiming],
+) -> Vec<WeightTiming> {
+    all_codes
         .iter()
         .map(|&c| {
             let idx = match codes.binary_search(&c) {
@@ -507,14 +528,7 @@ fn expand_timing(
             t.code = c;
             t
         })
-        .collect();
-
-    WeightTimingProfile {
-        per_weight: expanded,
-        psum_floor_ps,
-        adder_from_product_ps,
-        slow_floor_ps: cfg.slow_floor_ps,
-    }
+        .collect()
 }
 
 /// Per-weight **hazard-free static** timing bound via netlist

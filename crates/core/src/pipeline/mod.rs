@@ -37,7 +37,7 @@ use stages::characterize::{CaptureStage, CharacterizeStage, PrepareStage, Timing
 use stages::scale::{MeasureInput, MeasurePowerStage, VoltageScaleStage};
 use stages::select::{
     cached_prune_retrain, delay_window, retrain_with_retry, DelaySelectInput, DelaySelectStage,
-    PowerSelectInput, PowerSelectStage,
+    DelayWindow, PowerSelectInput, PowerSelectStage,
 };
 use stages::{PipelineCtx, Stage};
 use std::sync::LazyLock;
@@ -58,6 +58,26 @@ stage_seconds!(CAPTURE_SECONDS, "pipeline_capture_seconds");
 stage_seconds!(CHARACTERIZE_SECONDS, "pipeline_characterize_seconds");
 stage_seconds!(TIMING_SECONDS, "pipeline_timing_seconds");
 stage_seconds!(REQUEST_SECONDS, "pipeline_request_seconds");
+
+/// Runs `side` on a scoped thread while the calling thread runs `main`,
+/// and returns both results once both have finished.
+///
+/// The side thread enters the caller's trace context, so its spans
+/// record under the same trace with the caller's open span as parent.
+/// A panic on the side thread is re-raised on the caller with its
+/// original payload (a panic in `main` propagates as usual, after the
+/// side thread has been joined).
+fn overlap<M, S: Send>(side: impl FnOnce() -> S + Send, main: impl FnOnce() -> M) -> (M, S) {
+    let trace = obs::TraceContext::current();
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(move || trace.enter(side));
+        let main = main();
+        match handle.join() {
+            Ok(side) => (main, side),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
 
 /// A trained network with its datasets.
 #[derive(Debug)]
@@ -232,11 +252,28 @@ impl Pipeline {
         TIMING_SECONDS.time(|| TimingStage.run(&self.ctx(), slow_floor_ps))
     }
 
+    /// The probe-floor timing pass, the delay-sweep window it implies,
+    /// and the timing profile characterized at that window's floor
+    /// (paper Fig. 3). Reads only the hardware and the config.
+    fn timing_window(&self) -> (DelayWindow, WeightTimingProfile) {
+        let probe = self.characterize_timing(f64::MAX);
+        let window = delay_window(&self.ctx(), &probe);
+        let timing = self.characterize_timing(window.floor_ps);
+        (window, timing)
+    }
+
     /// Serves one full characterization request — the unit the
     /// `charserve` daemon deduplicates: baseline training, GEMM
     /// capture, power characterization and the probe-floor timing pass,
     /// every stage consulting the attached cache through the same
     /// lookup → compute → store path the standalone pipeline uses.
+    ///
+    /// The timing pass depends on the hardware and the config only, so
+    /// on a manifest miss it runs on a second thread beside
+    /// prepare → capture → characterize; its `timing` span stays under
+    /// the request's trace, parented to the `characterization_request`
+    /// span. The stage histograms therefore overlap in wall time, and
+    /// their sum can exceed the request's. A manifest hit spawns nothing.
     ///
     /// A stored [`crate::cache::RequestManifest`] under the request key
     /// answers the whole request without touching a single stage; a
@@ -278,25 +315,36 @@ impl Pipeline {
         let epochs_before = nn::train::epochs_run();
         let transitions_before = gatesim::sim_transitions();
         let ctx = self.ctx();
-        let mut prepared = self.prepare(kind);
-        let training = crate::cache::training_key(&ctx, kind);
-        // Capture key before the capture runs: the key commits to the
-        // exact network state the forward pass reads.
-        let capture = crate::cache::capture_key(&ctx, &mut prepared);
-        let captures = self.capture(&mut prepared);
-        let characterization = crate::cache::characterization_key(&ctx, &captures);
-        let chars = self.characterize(&captures);
-        let timing = crate::cache::timing_key(&ctx, f64::MAX);
-        let _ = self.characterize_timing(f64::MAX);
-        let manifest = crate::cache::RequestManifest {
-            training,
-            capture,
-            characterization,
-            timing,
-            accuracy: prepared.accuracy,
-            captures: captures.len() as u64,
-            power_codes: chars.power_profile.codes().len() as u64,
-        };
+        // Timing characterization reads only the hardware and the
+        // config, never the network, so it runs beside the
+        // prepare → capture → characterize chain.
+        let (manifest, _) = overlap(
+            || self.characterize_timing(f64::MAX),
+            || {
+                let mut prepared = self.prepare(kind);
+                let training = crate::cache::training_key(&ctx, kind);
+                // Capture key before the capture runs: the key commits
+                // to the exact network state the forward pass reads.
+                let capture = crate::cache::capture_key(&ctx, &mut prepared);
+                let captures = self.capture(&mut prepared);
+                let accuracy = prepared.accuracy;
+                // The network and its datasets are done with; freeing
+                // them before characterize keeps them out of the memory
+                // peak, which the concurrent timing stage adds to.
+                drop(prepared);
+                let characterization = crate::cache::characterization_key(&ctx, &captures);
+                let chars = self.characterize(&captures);
+                crate::cache::RequestManifest {
+                    training,
+                    capture,
+                    characterization,
+                    timing: crate::cache::timing_key(&ctx, f64::MAX),
+                    accuracy,
+                    captures: captures.len() as u64,
+                    power_codes: chars.power_profile.codes().len() as u64,
+                }
+            },
+        );
         if let Some(cache) = self.cache() {
             cache.store_manifest(&ctx, request_key, &manifest);
         }
@@ -326,41 +374,51 @@ impl Pipeline {
         let ctx = self.ctx();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xf00d ^ (kind as u64));
 
-        // 1. Baseline QAT.
-        let mut prepared = self.prepare(kind);
-        let acc_orig = prepared.accuracy;
-        let captures_orig = self.capture(&mut prepared);
+        // 5a. Timing characterization never reads the network, so it
+        //     runs beside steps 1-4.
+        let ((mut prepared, acc_orig, chars, (std_orig, opt_orig), power_sel), (window, timing)) =
+            overlap(
+                || self.timing_window(),
+                || {
+                    // 1. Baseline QAT.
+                    let mut prepared = self.prepare(kind);
+                    let acc_orig = prepared.accuracy;
+                    let captures_orig = self.capture(&mut prepared);
 
-        // 2. Characterize and measure the baseline.
-        let chars = self.characterize(&captures_orig);
-        let (std_orig, opt_orig) = self.measure_power(&captures_orig, &chars.energy_model);
+                    // 2. Characterize and measure the baseline.
+                    let chars = self.characterize(&captures_orig);
+                    let baseline_power = self.measure_power(&captures_orig, &chars.energy_model);
 
-        // 3. Conventional pruning.
-        let _ = cached_prune_retrain(&ctx, &mut prepared, self.cfg.prune_sparsity, &mut rng);
+                    // 3. Conventional pruning.
+                    let _ = cached_prune_retrain(
+                        &ctx,
+                        &mut prepared,
+                        self.cfg.prune_sparsity,
+                        &mut rng,
+                    );
 
-        // 4. Weight selection by power threshold (targeting the paper's
-        //    per-network weight-value count).
-        let power_sel = PowerSelectStage.run(
-            &ctx,
-            PowerSelectInput {
-                profile: &chars.power_profile,
-                target: kind.paper_weight_target(),
-            },
-        );
-        let _ = retrain_with_retry(
-            &ctx,
-            &mut prepared,
-            Some(&power_sel.weights),
-            None,
-            f64::NEG_INFINITY,
-            &mut rng,
-        );
+                    // 4. Weight selection by power threshold (targeting the
+                    //    paper's per-network weight-value count).
+                    let power_sel = PowerSelectStage.run(
+                        &ctx,
+                        PowerSelectInput {
+                            profile: &chars.power_profile,
+                            target: kind.paper_weight_target(),
+                        },
+                    );
+                    let _ = retrain_with_retry(
+                        &ctx,
+                        &mut prepared,
+                        Some(&power_sel.weights),
+                        None,
+                        f64::NEG_INFINITY,
+                        &mut rng,
+                    );
+                    (prepared, acc_orig, chars, baseline_power, power_sel)
+                },
+            );
 
-        // 5. Timing characterization + delay sweep.
-        let probe = self.characterize_timing(f64::MAX);
-        let window = delay_window(&ctx, &probe);
-        let timing = self.characterize_timing(window.floor_ps);
-
+        // 5b. Delay sweep.
         let mut best_sel: Option<crate::select::DelaySelection> = None;
         let mut best_acc = acc_orig;
         let mut best_state = prepared.net.snapshot();
@@ -588,35 +646,40 @@ impl Pipeline {
     pub fn delay_sweep(&self, kind: NetworkKind) -> Fig9Series {
         let ctx = self.ctx();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xf19 ^ (kind as u64));
-        let mut prepared = self.prepare(kind);
-        let captures = self.capture(&mut prepared);
-        let chars = self.characterize(&captures);
+        // Timing characterization never reads the network, so it runs
+        // beside training, characterization and the first retrain.
+        let ((mut prepared, power_sel, acc0), (window, timing)) = overlap(
+            || self.timing_window(),
+            || {
+                let mut prepared = self.prepare(kind);
+                let captures = self.capture(&mut prepared);
+                let chars = self.characterize(&captures);
 
-        // Paper: weight threshold 825 µW for the first three networks,
-        // 900 µW for EfficientNet — i.e. counts 48 and 86.
-        let count = match kind {
-            NetworkKind::EfficientNetLite => 86usize,
-            _ => 48,
-        };
-        let power_sel = PowerSelectStage.run(
-            &ctx,
-            PowerSelectInput {
-                profile: &chars.power_profile,
-                target: count,
+                // Paper: weight threshold 825 µW for the first three
+                // networks, 900 µW for EfficientNet — i.e. counts 48
+                // and 86.
+                let count = match kind {
+                    NetworkKind::EfficientNetLite => 86usize,
+                    _ => 48,
+                };
+                let power_sel = PowerSelectStage.run(
+                    &ctx,
+                    PowerSelectInput {
+                        profile: &chars.power_profile,
+                        target: count,
+                    },
+                );
+                let acc0 = retrain_with_retry(
+                    &ctx,
+                    &mut prepared,
+                    Some(&power_sel.weights),
+                    None,
+                    f64::NEG_INFINITY,
+                    &mut rng,
+                );
+                (prepared, power_sel, acc0)
             },
         );
-        let acc0 = retrain_with_retry(
-            &ctx,
-            &mut prepared,
-            Some(&power_sel.weights),
-            None,
-            f64::NEG_INFINITY,
-            &mut rng,
-        );
-
-        let probe = self.characterize_timing(f64::MAX);
-        let window = delay_window(&ctx, &probe);
-        let timing = self.characterize_timing(window.floor_ps);
 
         let mut points = vec![(
             window.base_max_rounded_ps,
@@ -702,6 +765,60 @@ mod tests {
         assert!(chars.power_profile.power_uw(0) < chars.power_profile.power_uw(-105));
         let (std_p, opt_p) = p.measure_power(&captures, &chars.energy_model);
         assert!(opt_p.total_power_mw() <= std_p.total_power_mw());
+    }
+
+    #[test]
+    fn overlap_returns_both_results() {
+        let caller = std::thread::current().id();
+        let (main, side) = overlap(|| std::thread::current().id(), || 7);
+        assert_eq!(main, 7);
+        assert_ne!(side, caller, "side closure ran on the caller");
+    }
+
+    #[test]
+    fn overlap_reraises_a_side_panic_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            overlap(|| -> () { panic!("side stage failed: code {}", 42) }, || 1)
+        })
+        .expect_err("the side panic must reach the caller");
+        // A message with only literal arguments may be folded into a
+        // `&'static str` payload; read both forms, as charserve does.
+        let message = caught
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| caught.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("side stage failed: code 42"));
+    }
+
+    #[test]
+    fn request_timing_span_stays_in_the_request_trace() {
+        let mut cfg = PipelineConfig::for_scale(Scale::Micro);
+        cfg.cache = false;
+        let p = Pipeline::new(cfg);
+        let trace = obs::TraceId::generate();
+        let run = obs::with_trace(trace, || p.characterization_request(NetworkKind::LeNet5));
+        assert!(!run.manifest_hit);
+        // The span ring is shared by every test in this binary: look at
+        // this request's trace only.
+        let (records, _) = obs::trace::snapshot();
+        let mine: Vec<_> = records.iter().filter(|r| r.trace == trace.0).collect();
+        let request = mine
+            .iter()
+            .find(|r| r.name == "characterization_request")
+            .expect("request span recorded under the trace");
+        let timing = mine
+            .iter()
+            .find(|r| r.name == "timing")
+            .expect("timing span recorded under the request's trace");
+        assert_eq!(timing.parent, request.id);
+        assert_ne!(timing.tid, request.tid, "timing ran on the caller");
+        for stage in ["prepare", "capture", "characterize"] {
+            let span = mine
+                .iter()
+                .find(|r| r.name == stage)
+                .unwrap_or_else(|| panic!("{stage} span missing from the trace"));
+            assert_eq!(span.parent, request.id, "{stage} parent");
+        }
     }
 
     #[test]

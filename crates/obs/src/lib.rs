@@ -49,4 +49,4 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-pub use trace::{current_trace, span, with_trace, SpanGuard, TraceId};
+pub use trace::{current_trace, span, with_trace, SpanGuard, TraceContext, TraceId};

@@ -136,6 +136,48 @@ pub fn with_trace<T>(trace: TraceId, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// A thread's position in the trace tree: its current trace ID and
+/// innermost open span. Both live in thread-locals, so work handed to
+/// another thread starts outside any trace; capture the position with
+/// [`TraceContext::current`] before the hand-off and [`enter`] it on
+/// the other side, and that thread's spans record under the same trace
+/// with the capturing span as their parent.
+///
+/// [`enter`]: TraceContext::enter
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceContext {
+    trace: u64,
+    span: u64,
+}
+
+impl TraceContext {
+    /// The calling thread's current trace and span.
+    #[must_use]
+    pub fn current() -> TraceContext {
+        TraceContext {
+            trace: CURRENT_TRACE.with(Cell::get),
+            span: CURRENT_SPAN.with(Cell::get),
+        }
+    }
+
+    /// Runs `f` with this context as the thread's current trace and
+    /// span, restoring the thread's own afterwards (also on unwind).
+    pub fn enter<T>(self, f: impl FnOnce() -> T) -> T {
+        struct Restore(TraceContext);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                CURRENT_TRACE.with(|c| c.set(self.0.trace));
+                CURRENT_SPAN.with(|c| c.set(self.0.span));
+            }
+        }
+        let _restore = Restore(TraceContext {
+            trace: CURRENT_TRACE.with(|c| c.replace(self.trace)),
+            span: CURRENT_SPAN.with(|c| c.replace(self.span)),
+        });
+        f()
+    }
+}
+
 /// Opens a span named `name`; the returned guard records it on drop.
 /// The name must be `'static` (span names are a fixed vocabulary, not
 /// data — put data in [`SpanGuard::field`]).
@@ -296,6 +338,44 @@ mod tests {
         assert_eq!(outer.fields, vec![("k", "v1".to_string())]);
         assert!(outer.dur_us >= inner.dur_us);
         assert!(current_trace().is_none(), "trace scope restored");
+    }
+
+    #[test]
+    fn entered_context_parents_spans_on_another_thread() {
+        // Checked on the live guards, not through the ring: the
+        // overflow test below may evict this test's records at any time.
+        let trace = TraceId::generate();
+        with_trace(trace, || {
+            let parent = span("obs_test_handoff_parent");
+            let ctx = TraceContext::current();
+            assert_eq!(
+                ctx,
+                TraceContext {
+                    trace: trace.0,
+                    span: parent.id
+                }
+            );
+            std::thread::spawn(move || {
+                assert_eq!(
+                    current_trace(),
+                    None,
+                    "a new thread starts outside any trace"
+                );
+                ctx.enter(|| {
+                    let child = span("obs_test_handoff_child");
+                    assert_eq!(child.parent, ctx.span);
+                    // A span records the trace current when it drops.
+                    assert_eq!(current_trace(), Some(trace));
+                });
+                assert_eq!(
+                    TraceContext::current(),
+                    TraceContext { trace: 0, span: 0 },
+                    "thread's own context restored"
+                );
+            })
+            .join()
+            .expect("handoff thread");
+        });
     }
 
     #[test]

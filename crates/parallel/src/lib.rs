@@ -11,7 +11,10 @@
 //! mutable slice. The worker closure receives the *global* row index and
 //! the row slice; per-thread scratch state (a simulator, reusable
 //! buffers) is created once per worker thread by `init` and reused
-//! across that thread's rows.
+//! across that thread's rows. The calling thread is one of the workers:
+//! it processes the first chunk of rows itself rather than blocking
+//! while spawned threads do all the work, so a fan-out over `n` threads
+//! spawns `n - 1`.
 //!
 //! # Examples
 //!
@@ -58,6 +61,9 @@ where
 /// [`par_rows_mut`] with an explicit thread count — the seam the
 /// determinism tests use to prove results are chunk-geometry-free.
 ///
+/// The calling thread counts as one of the `threads`: it processes the
+/// first chunk itself while `threads - 1` scoped workers take the rest.
+///
 /// # Panics
 ///
 /// Panics if `row_len` is zero or does not divide `data.len()`.
@@ -92,16 +98,22 @@ pub fn par_rows_mut_with_threads<T, S, I, W>(
         return;
     }
     let rows_per = rows.div_ceil(threads);
+    let run_chunk = |chunk_idx: usize, chunk: &mut [T]| {
+        let mut state = init();
+        for (off, row) in chunk.chunks_mut(row_len).enumerate() {
+            work(&mut state, chunk_idx * rows_per + off, row);
+        }
+    };
     std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in data.chunks_mut(rows_per * row_len).enumerate() {
-            let init = &init;
-            let work = &work;
-            scope.spawn(move || {
-                let mut state = init();
-                for (off, row) in chunk.chunks_mut(row_len).enumerate() {
-                    work(&mut state, chunk_idx * rows_per + off, row);
-                }
-            });
+        let mut chunks = data.chunks_mut(rows_per * row_len).enumerate();
+        let first = chunks.next();
+        for (chunk_idx, chunk) in chunks {
+            let run_chunk = &run_chunk;
+            scope.spawn(move || run_chunk(chunk_idx, chunk));
+        }
+        // The caller works the first chunk instead of waiting idle.
+        if let Some((_, chunk)) = first {
+            run_chunk(0, chunk);
         }
     });
 }
@@ -147,6 +159,25 @@ mod tests {
         let one = run(1);
         for threads in [2, 3, 5, 8, 64] {
             assert_eq!(run(threads), one, "thread count {threads} changed results");
+        }
+    }
+
+    #[test]
+    fn the_caller_runs_the_first_chunk() {
+        let caller = std::thread::current().id();
+        for threads in [2, 3] {
+            let mut ran_on = vec![None; 12];
+            par_rows_mut_with_threads(
+                threads,
+                &mut ran_on,
+                1,
+                || (),
+                |(), _, row| {
+                    row[0] = Some(std::thread::current().id());
+                },
+            );
+            assert_eq!(ran_on[0], Some(caller), "{threads} threads: row 0");
+            assert_ne!(ran_on[11], Some(caller), "{threads} threads: last row");
         }
     }
 
